@@ -94,6 +94,31 @@ func BenchmarkSketchUpdateBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkSketchUpdateServing is one shard's Update on the shape every
+// BENCHMARK.json workload serves: k=256 over d=2^20, fed the items a
+// 4-shard ShardedSketch routes to shard 0 of a Zipf(1.05) stream. With
+// d >> k about half the updates are Branch 3 evictions, so this row is the
+// Algorithm 1 miss path, where BenchmarkSketchUpdate (d=2^16) mostly hits.
+func BenchmarkSketchUpdateServing(b *testing.B) {
+	const d = 1 << 20
+	router := NewShardedSketch(4, 256, d)
+	var str []Item
+	for _, x := range workload.Zipf(1<<22, d, 1.05, 1) {
+		if router.shardOf(x) == 0 && len(str) < 1<<19 {
+			str = append(str, x)
+		}
+	}
+	if len(str) != 1<<19 {
+		b.Fatalf("shard 0 got %d items, want 2^19", len(str))
+	}
+	sk := NewSketch(256, d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sk.Update(str[i&(1<<19-1)])
+	}
+}
+
 func BenchmarkShardedUpdate(b *testing.B) {
 	const d = 1 << 16
 	str := workload.Zipf(1<<20, d, 1.05, 1)

@@ -81,6 +81,10 @@ func TestDifferentialStreams(t *testing.T) {
 		{"uniform", 24, 300, workload.Uniform(30000, 300, 3), 509},
 		{"heavytail", 48, 5000, workload.HeavyTail(50000, 5000, 5, 0.8, 4), 757},
 		{"single-key", 4, 10, workload.Adversarial(2000, 1), 111},
+		// The shape every BENCHMARK.json workload serves: about half the
+		// updates evict and an epoch's zero list holds ~200 keys, so the
+		// radix passes of orderZeros run, not its insertion-sort cutoff.
+		{"serving-shape", 256, 1 << 20, workload.Zipf(150000, 1<<20, 1.05, 5), 4999},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -106,8 +110,20 @@ func TestDifferentialRandomized(t *testing.T) {
 	}
 }
 
-// TestDifferentialHugeKeys exercises the >32-bit key fallback of the zero
-// list sort, which the packed fast path cannot serve.
+// TestDifferentialAcross32Bits puts d+k just above 2^32 under long zero
+// lists: the stream's keys lie within 2^17 of 2^32 on both sides, so an
+// epoch's zeros differ in the fifth key byte and orderZeros needs its fifth
+// pass to order them.
+func TestDifferentialAcross32Bits(t *testing.T) {
+	const d = uint64(1)<<32 + 1<<17
+	str := workload.Zipf(100000, 1<<18, 1.05, 6)
+	for i := range str {
+		str[i] += stream.Item(d - 1<<18)
+	}
+	runDifferential(t, 256, d, str, 4999)
+}
+
+// TestDifferentialHugeKeys runs Algorithm 1 on keys wider than 32 bits.
 func TestDifferentialHugeKeys(t *testing.T) {
 	const d = uint64(1) << 40
 	rng := rand.New(rand.NewPCG(13, 17))

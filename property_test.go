@@ -84,28 +84,29 @@ func TestMergedSummaryProperties(t *testing.T) {
 
 // TestShardedBatchMatchesSequential pins ShardedSketch.UpdateBatch to
 // Update semantics: per-shard grouping must preserve each shard's stream
-// order, so both ingest paths produce identical shard states.
+// order, so both ingest paths leave every shard in exactly the same state
+// — counter table, stream length and decrement count. The shard counts
+// sit on both sides of the mask/modulo split in shardOf and of a one-byte
+// shard id, and the batch sizes are ragged so group boundaries fall
+// everywhere.
 func TestShardedBatchMatchesSequential(t *testing.T) {
-	str := workload.HeavyTail(50000, 2000, 4, 0.7, 11)
-	a := NewShardedSketch(5, 32, 2000)
-	b := NewShardedSketch(5, 32, 2000)
-	for _, x := range str {
-		a.Update(x)
-	}
-	for i := 0; i < len(str); i += 997 { // ragged batches
-		end := i + 997
-		if end > len(str) {
-			end = len(str)
+	const d = 2000
+	str := workload.HeavyTail(50000, d, 4, 0.7, 11)
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16, 255, 256, 257} {
+		a := NewShardedSketch(n, 8, d)
+		b := NewShardedSketch(n, 8, d)
+		for _, x := range str {
+			a.Update(x)
 		}
-		b.UpdateBatch(str[i:end])
-	}
-	if a.N() != b.N() {
-		t.Fatalf("N diverges: %d vs %d", a.N(), b.N())
-	}
-	for i := range a.shards {
-		ca, cb := a.shards[i].sk.Counters(), b.shards[i].sk.Counters()
-		if !reflect.DeepEqual(ca, cb) {
-			t.Fatalf("shard %d diverges:\nseq   %v\nbatch %v", i, ca, cb)
+		for i, size := 0, 1; i < len(str); i, size = i+size, size*3%1021+1 {
+			b.UpdateBatch(str[i:min(i+size, len(str))])
+		}
+		for i := range a.shards {
+			sa, sb := a.shards[i].sk, b.shards[i].sk
+			if sa.N() != sb.N() || sa.Decrements() != sb.Decrements() || !reflect.DeepEqual(sa.Counters(), sb.Counters()) {
+				t.Fatalf("%d shards: shard %d diverges: n %d/%d decrements %d/%d\nseq   %v\nbatch %v",
+					n, i, sa.N(), sb.N(), sa.Decrements(), sb.Decrements(), sa.Counters(), sb.Counters())
+			}
 		}
 	}
 }

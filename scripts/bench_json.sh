@@ -21,8 +21,12 @@ run() { # run <package> <bench regex> [extra go-test flags...]
   go test -run='^$' -bench="$regex" -benchmem -benchtime="$BENCHTIME" "$@" "$pkg" | tee -a "$TMP"
 }
 
-# Ingest tier: flat sketch hot paths and the sharded router.
-run . 'BenchmarkSketchUpdate$|BenchmarkSketchUpdateAdversarial$|BenchmarkSketchUpdateBatch$|BenchmarkShardedUpdate$|BenchmarkShardedUpdateBatch$'
+# Ingest tier: flat sketch hot paths and the sharded router. The Serving
+# row is one shard's update on the shape every BENCHMARK.json workload
+# serves (k=256, d=2^20: the Algorithm 1 miss path); the ZeroOrder rows
+# are one epoch's eviction ordering at that shape.
+run . 'BenchmarkSketchUpdate$|BenchmarkSketchUpdateAdversarial$|BenchmarkSketchUpdateBatch$|BenchmarkSketchUpdateServing$|BenchmarkShardedUpdate$|BenchmarkShardedUpdateBatch$'
+run ./internal/mg 'BenchmarkZeroOrder$'
 # Read tier: point queries under saturating ingest. The published row is
 # the epoch read path (atomic load + binary search, 0 allocs); the locked
 # row is the pre-epoch shard-mutex baseline it is measured against.
@@ -65,7 +69,9 @@ run ./internal/cluster 'BenchmarkClusterFanIn' -cpu=1,4,8
 for required in BenchmarkServerStreamIngest BenchmarkServerHTTPIngestE2E BenchmarkServerBatchIngest \
                 BenchmarkClusterFanIn/single BenchmarkClusterFanIn/parallel BenchmarkClusterFanIn/serial \
                 BenchmarkEstimateUnderIngest/published BenchmarkEstimateUnderIngest/locked \
-                BenchmarkFaultIn BenchmarkOffloadRecord/fixed BenchmarkOffloadRecord/delta; do
+                BenchmarkFaultIn BenchmarkOffloadRecord/fixed BenchmarkOffloadRecord/delta \
+                BenchmarkSketchUpdateServing BenchmarkZeroOrder/n=16 BenchmarkZeroOrder/n=64 \
+                BenchmarkZeroOrder/n=205 BenchmarkZeroOrder/n=256; do
   if ! grep -q "^${required}" "$TMP"; then
     echo "bench_json.sh: required benchmark ${required} missing from output" >&2
     exit 1

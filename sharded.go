@@ -62,6 +62,10 @@ type ShardedSketch struct {
 	k      int
 	d      uint64
 	shards []shard
+	// mask is len(shards)-1 when that is a power of two above one, so
+	// shardOf reduces its hash with an AND (h&(n-1) == h%n exactly); zero
+	// for every other count, which keeps the modulo.
+	mask uint64
 
 	// Published read snapshot (see "Published read path" above). pending
 	// counts items ingested since the last publish; publishing is gated by
@@ -114,11 +118,18 @@ type shard struct {
 }
 
 // batchScratch holds the counting-sort state UpdateBatch needs; pooled so
-// steady-state batch ingest performs zero allocations.
+// steady-state batch ingest performs zero allocations. ids is the shard of
+// each item, computed once in the routing pass and read back by the scatter
+// pass; maxShards keeps every shard id inside a uint16.
 type batchScratch struct {
 	counts  []int
+	ids     []uint16
 	grouped []Item
 }
+
+// maxShards is the largest shard count, the same ceiling the snapshot wire
+// format puts on a stream.
+const maxShards = 1 << 16
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
@@ -127,6 +138,9 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 func NewShardedSketch(shards, k int, d uint64) *ShardedSketch {
 	if shards <= 0 {
 		panic("dpmg: shards must be positive")
+	}
+	if shards > maxShards {
+		panic(fmt.Sprintf("dpmg: shards must be at most %d", maxShards))
 	}
 	s := &ShardedSketch{
 		k:        k,
@@ -137,6 +151,9 @@ func NewShardedSketch(shards, k int, d uint64) *ShardedSketch {
 		sumKeys:  make([][]Item, shards),
 		sumVals:  make([][]int64, shards),
 		sumN:     make([]int64, shards),
+	}
+	if shards&(shards-1) == 0 {
+		s.mask = uint64(shards - 1)
 	}
 	for i := range s.shards {
 		s.shards[i].sk = mg.New(k, d)
@@ -159,13 +176,26 @@ func (s *ShardedSketch) SetPublishEvery(n int64) {
 	s.pubEvery = n
 }
 
-// Update processes one stream element; safe for concurrent use.
+// Update processes one stream element; safe for concurrent use. It panics
+// if x is outside [1, universe], before any lock is taken.
 func (s *ShardedSketch) Update(x Item) {
+	s.checkItem(x)
 	sh := &s.shards[s.shardOf(x)]
 	sh.mu.Lock()
 	sh.sk.Update(x)
 	sh.mu.Unlock()
 	s.noteIngest(1)
+}
+
+// checkItem panics if x is outside [1, universe]. Update and UpdateBatch
+// call it on every item before they take a shard mutex: the shard sketch
+// panics on such an item too, but it would do so under the mutex, with
+// the earlier items of the batch applied, and a caller that recovers (as
+// net/http handlers do) would find the shard locked for good.
+func (s *ShardedSketch) checkItem(x Item) {
+	if x == 0 || uint64(x) > s.d {
+		panic(fmt.Sprintf("dpmg: item %d outside universe [1,%d]", x, s.d))
+	}
 }
 
 // noteIngest advances the publish-pending counter and, when the threshold
@@ -199,13 +229,17 @@ func (s *ShardedSketch) noteIngest(n int64) {
 // where the batch API pays off: under contention the lock traffic drops by
 // the batch size, and each shard then runs its whole group on the flat
 // sketch's hot path. The grouping scratch is pooled, so steady-state batch
-// ingest allocates nothing.
+// ingest allocates nothing. It panics if any item is outside [1, universe],
+// before any lock is taken and with no item of the batch applied.
 func (s *ShardedSketch) UpdateBatch(xs []Item) {
 	if len(xs) == 0 {
 		return
 	}
 	nsh := len(s.shards)
 	if nsh == 1 {
+		for _, x := range xs {
+			s.checkItem(x)
+		}
 		sh := &s.shards[0]
 		sh.mu.Lock()
 		sh.sk.UpdateBatch(xs)
@@ -225,18 +259,27 @@ func (s *ShardedSketch) UpdateBatch(xs []Item) {
 		sc.grouped = make([]Item, len(xs))
 	}
 	grouped := sc.grouped[:len(xs)]
-	// Counting sort by shard: two passes, order-preserving within a shard.
-	for _, x := range xs {
-		counts[s.shardOf(x)+1]++
+	if cap(sc.ids) < len(xs) {
+		sc.ids = make([]uint16, len(xs))
+	}
+	ids := sc.ids[:len(xs)]
+	// Counting sort by shard, order-preserving within a shard: the routing
+	// pass validates and hashes each item once, the scatter pass replays
+	// the recorded shard ids.
+	for i, x := range xs {
+		s.checkItem(x)
+		id := s.shardOf(x)
+		ids[i] = uint16(id)
+		counts[id+1]++
 	}
 	for i := 1; i <= nsh; i++ {
 		counts[i] += counts[i-1]
 	}
 	next := counts[:nsh]
-	for _, x := range xs {
-		i := s.shardOf(x)
-		grouped[next[i]] = x
-		next[i]++
+	for i, x := range xs {
+		id := ids[i]
+		grouped[next[id]] = x
+		next[id]++
 	}
 	start := 0
 	for i := 0; i < nsh; i++ {
@@ -260,6 +303,9 @@ func (s *ShardedSketch) UpdateBatch(xs []Item) {
 func (s *ShardedSketch) shardOf(x Item) int {
 	h := (uint64(x) + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
 	h ^= h >> 32
+	if s.mask != 0 {
+		return int(h & s.mask)
+	}
 	return int(h % uint64(len(s.shards)))
 }
 
@@ -454,18 +500,23 @@ func (s *ShardedSketch) Release(p Params, seed uint64) (Histogram, error) {
 }
 
 // snapshotShards deep-copies every shard's full Algorithm 1 state for
-// serialization. Each shard is locked only while its own state is read (the
-// cross-shard consistency model above applies), and the copy is built with
-// mg.Restore, the canonical reconstruction of a counter table — so two
-// snapshots of equal shard states marshal to equal bytes and carry no
+// serialization. Each shard is locked only while its counter table is
+// copied out as flat ascending columns (the cross-shard consistency model
+// above applies); the copy is rebuilt outside the lock by
+// mg.RestoreColumns, the canonical reconstruction of a counter table — so
+// two snapshots of equal shard states marshal to equal bytes and carry no
 // insertion-history side channel.
 func (s *ShardedSketch) snapshotShards() ([]*mg.Sketch, error) {
 	out := make([]*mg.Sketch, len(s.shards))
+	keys := make([]Item, 0, s.k)
+	vals := make([]int64, 0, s.k)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		cp, err := mg.Restore(sh.sk.K(), sh.sk.Universe(), sh.sk.N(), sh.sk.Decrements(), sh.sk.Counters())
+		keys, vals = sh.sk.AppendAll(keys[:0], vals[:0])
+		n, decs := sh.sk.N(), sh.sk.Decrements()
 		sh.mu.Unlock()
+		cp, err := mg.RestoreColumns(s.k, s.d, n, decs, keys, vals)
 		if err != nil {
 			return nil, fmt.Errorf("dpmg: shard %d snapshot: %w", i, err)
 		}

@@ -92,6 +92,68 @@ func TestShardedRouting(t *testing.T) {
 	}
 }
 
+// TestShardOfGolden pins the routing of a fixed item list at one shard
+// count that reduces the hash with a modulo and two that reduce it with a
+// mask. Snapshots store per-shard state, so a changed routing function
+// would strand every restored counter in a shard its item no longer
+// reaches; this table makes such a change fail here first.
+func TestShardOfGolden(t *testing.T) {
+	items := []Item{1, 2, 3, 4, 5, 7, 64, 255, 256, 257, 1000, 65535, 65536,
+		1 << 20, 1<<20 + 1, 1<<32 - 1, 1 << 32, 1<<40 + 12345, 1<<63 - 1, 1<<64 - 1}
+	golden := map[int][]int{
+		3:  {1, 1, 0, 0, 1, 1, 2, 2, 1, 0, 1, 1, 2, 2, 0, 0, 2, 0, 0, 2},
+		4:  {3, 1, 3, 1, 3, 0, 2, 0, 0, 0, 0, 0, 0, 3, 1, 0, 0, 0, 3, 3},
+		16: {7, 1, 3, 9, 15, 12, 6, 0, 12, 8, 8, 8, 4, 15, 9, 4, 0, 4, 3, 3},
+	}
+	for n, want := range golden {
+		s := NewShardedSketch(n, 1, 1)
+		for i, x := range items {
+			if got := s.shardOf(x); got != want[i] {
+				t.Errorf("%d shards: shardOf(%d) = %d, want %d", n, x, got, want[i])
+			}
+		}
+	}
+}
+
+// TestShardedBadItemLeavesShardsUnlocked is the regression test for a bad
+// item panicking under a shard mutex: the panic must come before any lock
+// is taken or any item applied, so a caller that recovers can keep using
+// the sketch.
+func TestShardedBadItemLeavesShardsUnlocked(t *testing.T) {
+	const d = 100
+	for _, n := range []int{1, 4} {
+		s := NewShardedSketch(n, 8, d)
+		good := workload.Uniform(500, d, 3)
+		s.UpdateBatch(good)
+		bad := append(append([]Item(nil), good...), d+1)
+		for name, call := range map[string]func(){
+			"UpdateBatch/above": func() { s.UpdateBatch(bad) },
+			"UpdateBatch/zero":  func() { s.UpdateBatch([]Item{1, 2, 0, 3}) },
+			"Update/above":      func() { s.Update(d + 1) },
+			"Update/zero":       func() { s.Update(0) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%d shards: %s accepted an out-of-universe item", n, name)
+					}
+				}()
+				call()
+			}()
+			if got := s.NExact(); got != int64(len(good)) {
+				t.Fatalf("%d shards: %s applied part of its input: N = %d, want %d", n, name, got, len(good))
+			}
+		}
+		// With a shard mutex left locked these would block until the test
+		// binary's timeout.
+		s.UpdateBatch(good)
+		s.Update(1)
+		if got := s.NExact(); got != int64(2*len(good)+1) {
+			t.Fatalf("%d shards: N = %d after the follow-up updates, want %d", n, got, 2*len(good)+1)
+		}
+	}
+}
+
 func TestShardedValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
