@@ -316,7 +316,27 @@ func BenchmarkFaultIn(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	// The cold tier's allocation floor, pinned on the whole cycle because
+	// the evict half cannot be taken out of an AllocsPerRun body: encode the
+	// record into the pooled buffer and save it, then load, decode and
+	// rebuild 8 shards. The timed loop above reports the fault-in half.
+	allocs := testing.AllocsPerRun(20, func() {
+		if evicted, err := m.Evict("s"); !evicted || err != nil {
+			b.Fatalf("evict: %v %v", evicted, err)
+		}
+		if err := st.Update(1); err != nil {
+			b.Fatal(err)
+		}
+	})
+	if allocs > maxColdCycleAllocs {
+		b.Fatalf("evict + fault-in allocates %.0f times per cycle, want <= %d", allocs, maxColdCycleAllocs)
+	}
 }
+
+// maxColdCycleAllocs is the measured allocation count of one evict +
+// fault-in cycle of an 8-shard k=256 stream over a DirStore.
+const maxColdCycleAllocs = 397
 
 // BenchmarkShardedRelease is the sharded merge+release pipeline end to end:
 // snapshot 8 shards, k-way merge, Gaussian release. The Gaussian

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -208,6 +210,33 @@ func TestRejectsBadInput(t *testing.T) {
 		if resp := get(t, ts.URL+"/v1/release?"+q); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("query %q status %d, want 400", q, resp.StatusCode)
 		}
+	}
+}
+
+// TestSummaryHeaderCannotDriveAllocation: a 46-byte body whose header
+// announces k = entries = 2^30 used to make the decoder size 16 GiB of
+// columns before reading an entry. It must be a cheap 400.
+func TestSummaryHeaderCannotDriveAllocation(t *testing.T) {
+	s, err := newServer(32, 1000, dpmg.Budget{Eps: 1, Delta: 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := s.routes()
+	body := append([]byte("DPMG"), 1, byte(encoding.KindSummary))
+	for _, v := range []uint64{1 << 30, 0, 0, 0, 1 << 30} { // k, universe, n, decrements, entries
+		body = binary.LittleEndian.AppendUint64(body, v)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/streams/default/summary", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mux.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("refusing a %d-byte summary allocated %d bytes, want < 1 MiB", len(body), got)
 	}
 }
 

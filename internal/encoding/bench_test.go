@@ -1,25 +1,29 @@
 package encoding
 
 import (
-	"bytes"
 	"testing"
 
 	"dpmg/internal/mg"
 	"dpmg/internal/workload"
 )
 
-// BenchmarkOffloadRecord marshals a populated stream offload record in
-// each entry format, reporting encode throughput and — as the
-// record_bytes metric — the cold-tier footprint of one record. The pair
-// of rows is the acceptance evidence for the delta-varint format: the
-// delta row's record_bytes must stay severalfold below the fixed row's on
-// the Zipf(1.05) k=256 workload (pinned by TestDeltaRecordSmaller).
+// maxOffloadRecordAllocs pins the allocation ceiling of encoding one
+// 8-shard k=256 offload record into a warmed buffer: per shard, the two
+// key/count columns AppendAll fills plus its sorter. The record buffer
+// itself is reused and must contribute nothing.
+const maxOffloadRecordAllocs = 24
+
+// BenchmarkOffloadRecord encodes a populated stream offload record the way
+// the lifecycle tier does — AppendStream into a reused buffer — reporting
+// encode throughput and, as the record_bytes metric, the cold-tier
+// footprint of one record (pinned severalfold below the fixed-entry form
+// by TestDeltaRecordSmaller).
 //
-// MB/s is logical-state throughput: both rows divide by the same
-// fixed-format record size, so the metric compares how fast each encoder
-// serializes identical state. Dividing each row by its own output size —
-// the obvious b.SetBytes(buf.Len()) — made the delta encoder look ~6×
-// slower purely because its output is ~6× smaller.
+// MB/s is logical-state throughput: the row divides by the fixed-entry
+// size of the same state, so it stays comparable with the fixed row earlier
+// artifacts carried. Dividing by the record's own size — the obvious
+// b.SetBytes(len(buf)) — made the delta encoder look ~6× slower purely
+// because its output is ~6× smaller.
 func BenchmarkOffloadRecord(b *testing.B) {
 	const k, d, shards = 256, 1 << 16, 8
 	s := StreamState{
@@ -32,29 +36,29 @@ func BenchmarkOffloadRecord(b *testing.B) {
 		sk.Process(workload.Zipf(1<<18, d, 1.05, uint64(i+1)))
 		s.ShardSketches = append(s.ShardSketches, sk)
 	}
-	var fixed bytes.Buffer
-	s.Format = FormatFixed
-	if err := MarshalStream(&fixed, &s); err != nil {
+	fixed, err := appendStream(nil, &s, formatFixed)
+	if err != nil {
 		b.Fatal(err)
 	}
-	logical := int64(fixed.Len())
-	for _, f := range []struct {
-		name   string
-		format Format
-	}{{"fixed", FormatFixed}, {"delta", FormatDelta}} {
-		b.Run(f.name, func(b *testing.B) {
-			s.Format = f.format
-			var buf bytes.Buffer
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := MarshalStream(&buf, &s); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("delta", func(b *testing.B) {
+		var buf []byte
+		encode := func() {
+			var err error
+			if buf, err = AppendStream(buf[:0], &s); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(buf.Len()), "record_bytes")
-			b.SetBytes(logical)
-		})
-	}
+		}
+		encode() // warm the buffer
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			encode()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(len(buf)), "record_bytes")
+		b.SetBytes(int64(len(fixed)))
+		if allocs := testing.AllocsPerRun(20, encode); allocs > maxOffloadRecordAllocs {
+			b.Fatalf("offload record encode allocates %.0f times per op, want <= %d", allocs, maxOffloadRecordAllocs)
+		}
+	})
 }

@@ -12,62 +12,66 @@ import (
 	"dpmg/internal/workload"
 )
 
-// TestDeltaStreamRoundTrip: a FormatDelta offload record decodes to the
-// same state as its FormatFixed twin, remembers its format, and
-// re-marshals byte-identically (the double-offload idempotence property,
-// per format version).
+// remarshalable returns s with ShardSketches rebuilt from its decoded
+// wires, ready to be encoded again; ok is false when a wire is structurally
+// valid but fails mg's deep Algorithm 1 validation.
+func remarshalable(s StreamState) (StreamState, bool) {
+	s.ShardSketches = make([]*mg.Sketch, len(s.ShardWires))
+	for j, w := range s.ShardWires {
+		sk, err := restoreWire(w)
+		if err != nil {
+			return s, false
+		}
+		s.ShardSketches[j] = sk
+	}
+	return s, true
+}
+
+// TestDeltaStreamRoundTrip: an offload record is written delta-varint,
+// decodes to the same state as the fixed-entry form earlier builds wrote,
+// and re-marshals byte-identically (the double-offload idempotence
+// property); a decoded legacy record re-marshals to the delta bytes.
 func TestDeltaStreamRoundTrip(t *testing.T) {
 	s := streamFixture(t)
-	var fixed bytes.Buffer
-	if err := MarshalStream(&fixed, &s); err != nil {
+	delta, err := AppendStream(nil, &s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Format = FormatDelta
-	var delta bytes.Buffer
-	if err := MarshalStream(&delta, &s); err != nil {
+	if format(delta[4]) != formatDelta {
+		t.Fatalf("offload record written as version %d, want %d", delta[4], formatDelta)
+	}
+	fixed, err := appendStream(nil, &s, formatFixed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(fixed.Bytes(), delta.Bytes()) {
+	if bytes.Equal(fixed, delta) {
 		t.Fatal("formats produced identical bytes")
 	}
 
-	df, err := UnmarshalStream(bytes.NewReader(delta.Bytes()))
+	df, err := DecodeStream(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if df.Format != FormatDelta {
-		t.Fatalf("decoded format = %d, want %d", df.Format, FormatDelta)
-	}
-	ff, err := UnmarshalStream(bytes.NewReader(fixed.Bytes()))
+	ff, err := DecodeStream(fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ff.Format != FormatFixed {
-		t.Fatalf("decoded format = %d, want %d", ff.Format, FormatFixed)
-	}
-	// Same state either way, format tag aside.
-	df2 := *df
-	df2.Format = ff.Format
-	if !reflect.DeepEqual(&df2, ff) {
+	if !reflect.DeepEqual(df, ff) {
 		t.Errorf("formats decode to different states:\n delta %+v\n fixed %+v", df, ff)
 	}
 
-	// Re-marshal from the decoded record: byte-identical per format.
-	remarshal := *df
-	remarshal.ShardSketches = make([]*mg.Sketch, len(df.ShardWires))
-	for j, w := range df.ShardWires {
-		rsk, err := mg.Restore(w.K, w.Universe, w.N, w.Decrements, w.Counts())
+	for name, dec := range map[string]*StreamState{"delta": df, "fixed": ff} {
+		re, ok := remarshalable(*dec)
+		if !ok {
+			t.Fatalf("%s: decoded wires do not restore", name)
+		}
+		again, err := AppendStream(nil, &re)
 		if err != nil {
 			t.Fatal(err)
 		}
-		remarshal.ShardSketches[j] = rsk
-	}
-	var again bytes.Buffer
-	if err := MarshalStream(&again, &remarshal); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), delta.Bytes()) {
-		t.Error("delta record is not canonical across decode∘encode")
+		if !bytes.Equal(again, delta) {
+			t.Errorf("%s: decode∘encode does not reproduce the delta record", name)
+		}
 	}
 }
 
@@ -87,16 +91,16 @@ func TestDeltaRecordSmaller(t *testing.T) {
 		sk.Process(workload.Zipf(1<<18, d, 1.05, uint64(i+1)))
 		s.ShardSketches = append(s.ShardSketches, sk)
 	}
-	var fixed, delta bytes.Buffer
-	if err := MarshalStream(&fixed, &s); err != nil {
+	fixed, err := appendStream(nil, &s, formatFixed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Format = FormatDelta
-	if err := MarshalStream(&delta, &s); err != nil {
+	delta, err := AppendStream(nil, &s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(fixed.Len()) / float64(delta.Len())
-	t.Logf("fixed %d B, delta %d B, ratio %.2fx", fixed.Len(), delta.Len(), ratio)
+	ratio := float64(len(fixed)) / float64(len(delta))
+	t.Logf("fixed %d B, delta %d B, ratio %.2fx", len(fixed), len(delta), ratio)
 	if ratio < 3 {
 		t.Errorf("delta record only %.2fx smaller, want >= 3x", ratio)
 	}
@@ -106,23 +110,17 @@ func TestDeltaRecordSmaller(t *testing.T) {
 // what fits in one byte) decodes to the same value, so accepting it would
 // give two byte strings for one state — the decoder must refuse.
 func TestDeltaRejectsNonMinimalVarint(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeHeader(&buf, header{Kind: KindSummary, K: 4, Entries: 1}, FormatDelta); err != nil {
-		t.Fatal(err)
-	}
-	buf.Write([]byte{0x83, 0x00}) // key 3, non-minimal
-	buf.Write([]byte{0x05})       // count 5
-	if _, err := UnmarshalSummary(bytes.NewReader(buf.Bytes())); err == nil {
+	raw := appendHeader(nil, header{Kind: KindSummary, K: 4, Entries: 1}, formatDelta)
+	raw = append(raw, 0x83, 0x00) // key 3, non-minimal
+	raw = append(raw, 0x05)       // count 5
+	if _, err := UnmarshalSummary(bytes.NewReader(raw)); err == nil {
 		t.Error("non-minimal varint accepted")
 	}
 
-	buf.Reset()
-	if err := writeHeader(&buf, header{Kind: KindSummary, K: 4, Entries: 2}, FormatDelta); err != nil {
-		t.Fatal(err)
-	}
-	buf.Write([]byte{0x03, 0x05}) // key 3, count 5
-	buf.Write([]byte{0x00, 0x07}) // zero delta: keys not strictly ascending
-	if _, err := UnmarshalSummary(bytes.NewReader(buf.Bytes())); err == nil {
+	raw = appendHeader(nil, header{Kind: KindSummary, K: 4, Entries: 2}, formatDelta)
+	raw = append(raw, 0x03, 0x05) // key 3, count 5
+	raw = append(raw, 0x00, 0x07) // zero delta: keys not strictly ascending
+	if _, err := UnmarshalSummary(bytes.NewReader(raw)); err == nil {
 		t.Error("zero key delta accepted")
 	}
 }
@@ -136,18 +134,11 @@ func TestDeltaSummaryDecodesEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fixed, delta bytes.Buffer
-	if err := MarshalSummary(&fixed, sum); err != nil {
-		t.Fatal(err)
-	}
-	if err := marshalSummary(&delta, sum, FormatDelta); err != nil {
-		t.Fatal(err)
-	}
-	a, err := UnmarshalSummary(&fixed)
+	a, err := UnmarshalSummary(bytes.NewReader(AppendSummary(nil, sum)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := UnmarshalSummary(&delta)
+	b, err := UnmarshalSummary(bytes.NewReader(appendSummary(nil, sum, formatDelta)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +156,7 @@ func TestManagerRejectsDeltaFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := buf.Bytes()
-	doc[4] = byte(FormatDelta) // version byte lives after the 4-byte magic
+	doc[4] = byte(formatDelta) // version byte lives after the 4-byte magic
 	if _, err := UnmarshalManager(bytes.NewReader(doc)); err == nil {
 		t.Error("delta-format manager snapshot accepted")
 	}
@@ -176,20 +167,18 @@ func TestManagerRejectsDeltaFormat(t *testing.T) {
 // it, breaking the canonical-bytes property.
 func TestStreamRejectsMixedFormats(t *testing.T) {
 	s := streamFixture(t)
-	s.Format = FormatDelta
-	var buf bytes.Buffer
-	if err := MarshalStream(&buf, &s); err != nil {
+	doc, err := AppendStream(nil, &s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	doc := buf.Bytes()
 	// Find the first nested header (magic recurs) and flip its version
 	// byte back to fixed.
 	inner := bytes.Index(doc[4:], []byte("DPMG"))
 	if inner < 0 {
 		t.Fatal("no nested blob found")
 	}
-	doc[4+inner+4] = byte(FormatFixed)
-	if _, err := UnmarshalStream(bytes.NewReader(doc)); err == nil {
+	doc[4+inner+4] = byte(formatFixed)
+	if _, err := DecodeStream(doc); err == nil {
 		t.Error("mixed-format record accepted")
 	}
 }
@@ -197,7 +186,9 @@ func TestStreamRejectsMixedFormats(t *testing.T) {
 // FuzzOffloadRecordRoundTrip is the delta-codec sibling of
 // FuzzUnmarshalStream: arbitrary bytes — seeded with records in both
 // format versions — must either be rejected or decode to a state that
-// re-marshals to exactly the input bytes, in the input's format version.
+// re-encodes to exactly the input bytes in the input's format version
+// (legacy fixed records included: the decoder takes them, so it must take
+// only their canonical form), and through AppendStream to a delta record.
 func FuzzOffloadRecordRoundTrip(f *testing.F) {
 	sk := mg.New(3, 9)
 	for _, x := range []stream.Item{1, 2, 2, 3, 9, 9, 9} {
@@ -210,39 +201,33 @@ func FuzzOffloadRecordRoundTrip(f *testing.F) {
 		ShardSketches:  []*mg.Sketch{sk},
 		IngestCounters: 3,
 	}
-	for _, format := range []Format{FormatFixed, FormatDelta} {
-		st.Format = format
-		var seed bytes.Buffer
-		if err := MarshalStream(&seed, &st); err != nil {
+	for _, version := range []format{formatFixed, formatDelta} {
+		seed, err := appendStream(nil, &st, version)
+		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(seed.Bytes())
+		f.Add(seed)
 	}
 	f.Add([]byte("DPMG\x02\x05"))
 	f.Add([]byte{0x80, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := UnmarshalStream(bytes.NewReader(data))
+		s, err := DecodeStream(data)
 		if err != nil {
 			return
 		}
-		if !s.Format.valid() {
-			t.Fatalf("decoder returned invalid format %d", s.Format)
+		re, ok := remarshalable(*s)
+		if !ok {
+			return
 		}
-		remarshal := *s
-		remarshal.ShardSketches = make([]*mg.Sketch, len(s.ShardWires))
-		for j, w := range s.ShardWires {
-			rsk, err := mg.Restore(w.K, w.Universe, w.N, w.Decrements, w.Counts())
-			if err != nil {
-				return
-			}
-			remarshal.ShardSketches[j] = rsk
-		}
-		var out bytes.Buffer
-		if err := MarshalStream(&out, &remarshal); err != nil {
+		out, err := appendStream(nil, &re, format(data[4]))
+		if err != nil {
 			t.Fatalf("accepted record does not re-marshal: %v", err)
 		}
-		if !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("decode∘encode is not the identity:\n in  %x\n out %x", data, out.Bytes())
+		if !bytes.Equal(out, data) {
+			t.Fatalf("decode∘encode is not the identity:\n in  %x\n out %x", data, out)
+		}
+		if out, err = AppendStream(nil, &re); err != nil || format(out[4]) != formatDelta {
+			t.Fatalf("AppendStream wrote version %d (err %v), want delta", out[4], err)
 		}
 	})
 }
@@ -255,14 +240,14 @@ func TestUvarintCanonicalMatchesStdlib(t *testing.T) {
 	for _, v := range vals {
 		var buf [binary.MaxVarintLen64]byte
 		n := binary.PutUvarint(buf[:], v)
-		got, err := readUvarintCanonical(bytes.NewReader(buf[:n]))
-		if err != nil || got != v {
-			t.Errorf("value %d: got %d, err %v", v, got, err)
+		got, w, err := uvarintCanonical(buf[:n])
+		if err != nil || got != v || w != n {
+			t.Errorf("value %d: got %d in %d bytes, err %v", v, got, w, err)
 		}
 	}
 	// 10-byte encoding with final group > 1 overflows 64 bits.
 	over := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}
-	if _, err := readUvarintCanonical(bytes.NewReader(over)); err == nil {
+	if _, _, err := uvarintCanonical(over); err == nil {
 		t.Error("overflowing varint accepted")
 	}
 }

@@ -23,19 +23,34 @@
 // are close together, so first differences fit in one or two varint bytes
 // where the fixed encoding spends eight, shrinking cold-tier offload
 // records several-fold on skewed workloads. Both versions are canonical —
-// version 2 decoders reject non-minimal varints, so for either version
-// equal states serialize to equal bytes and decode∘encode is the identity.
+// the decoder rejects non-minimal varints, so equal states serialize to
+// equal bytes and decode∘encode is the identity.
+//
+// There is one codec per structure: every encoder appends to a []byte and
+// every decoder reads a []byte it holds whole, bounding each count a
+// header announces by the bytes actually present before it allocates. The
+// Marshal*/Unmarshal* functions are adapters for callers that hold an
+// io.Writer or io.Reader — encode then a single Write; read to EOF then
+// decode — so an Unmarshal* consumes its reader entirely. The entry
+// version is a function of the kind, not a choice: standalone KindSummary
+// and KindCounters documents and KindManager snapshots are written as
+// version 1, KindStream offload records (and the blobs nested in them) as
+// version 2. Decoders accept either version wherever the kind allows it;
+// version-1 KindStream records, which earlier builds wrote, stay readable
+// because the entry decoder is shared. MarshalItems/AppendItems are the
+// exception to all of this: a raw item batch has no header, and its
+// decoder takes a reader because request bodies really do arrive as
+// streams.
 package encoding
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"dpmg/internal/merge"
 	"dpmg/internal/mg"
-	"dpmg/internal/pamg"
 	"dpmg/internal/stream"
 )
 
@@ -45,8 +60,10 @@ type Kind byte
 const (
 	// KindSummary is a mergeable Misra-Gries summary (positive counters).
 	KindSummary Kind = 1
-	// KindPAMG is a Privacy-Aware Misra-Gries counter table.
-	KindPAMG Kind = 2
+	// Kind 2 is reserved: it tagged a Privacy-Aware Misra-Gries counter
+	// table whose codec was removed (nothing ever shipped one). It must not
+	// be reused, so such bytes keep failing on their kind.
+	_ Kind = 2
 	// KindCounters is a raw counter table (full Algorithm 1 state,
 	// including zero and dummy counters).
 	KindCounters Kind = 3
@@ -62,22 +79,21 @@ const (
 
 var magic = [4]byte{'D', 'P', 'M', 'G'}
 
-// Format selects the entry-table encoding and doubles as the header's
-// version byte. Decoders accept both; encoders default to FormatFixed
-// except where a caller (the lifecycle offload tier) asks for FormatDelta.
-type Format byte
+// format is the entry-table encoding and doubles as the header's version
+// byte.
+type format byte
 
 const (
-	// FormatFixed is wire version 1: 16-byte fixed-width entries.
-	FormatFixed Format = 1
-	// FormatDelta is wire version 2: each entry is the uvarint first
+	// formatFixed is wire version 1: 16-byte fixed-width entries.
+	formatFixed format = 1
+	// formatDelta is wire version 2: each entry is the uvarint first
 	// difference of the (strictly ascending) key followed by the uvarint
-	// count. Non-minimal varints are rejected on decode, keeping the
-	// encoding canonical per format version.
-	FormatDelta Format = 2
+	// count.
+	formatDelta format = 2
 )
 
-func (f Format) valid() bool { return f == FormatFixed || f == FormatDelta }
+// maxK bounds the k any header or stream record may announce.
+const maxK = 1 << 30
 
 // header mirrors the fixed-size prefix.
 type header struct {
@@ -89,293 +105,36 @@ type header struct {
 	Entries    uint64
 }
 
-func writeHeader(w io.Writer, h header, f Format) error {
-	if !f.valid() {
-		return fmt.Errorf("encoding: invalid format %d", f)
-	}
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, byte(f)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, byte(h.Kind)); err != nil {
-		return err
-	}
-	for _, v := range []uint64{h.K, h.Universe, h.N, h.Decrements, h.Entries} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // headerWireLen is the encoded size of the fixed header prefix: magic,
 // version, kind, and the five 8-byte fields.
 const headerWireLen = 4 + 1 + 1 + 5*8
 
-func readHeader(r io.Reader) (header, Format, error) {
-	// One ReadFull for the whole fixed prefix: the field-at-a-time
-	// binary.Read form cost seven reflection-driven calls (and their
-	// allocations) per header, which dominated the fault-in decode profile
-	// for multi-shard records.
-	var b [headerWireLen]byte
-	if _, err := io.ReadFull(r, b[:4]); err != nil {
-		return header{}, 0, fmt.Errorf("encoding: reading magic: %w", err)
-	}
-	if [4]byte(b[:4]) != magic {
-		return header{}, 0, fmt.Errorf("encoding: bad magic %q", b[:4])
-	}
-	if _, err := io.ReadFull(r, b[4:]); err != nil {
-		return header{}, 0, err
-	}
-	h, f, err := parseHeaderTail(b[4:])
-	if err != nil {
-		return header{}, 0, err
-	}
-	return h, f, nil
-}
-
-// parseHeaderTail decodes the post-magic portion of the fixed header
-// (version, kind, five u64 fields) from b, which must hold exactly
-// headerWireLen-4 bytes.
-func parseHeaderTail(b []byte) (header, Format, error) {
-	ver := b[0]
-	if !Format(ver).valid() {
-		return header{}, 0, fmt.Errorf("encoding: unsupported version %d", ver)
-	}
-	h := header{
-		Kind:       Kind(b[1]),
-		K:          binary.LittleEndian.Uint64(b[2:10]),
-		Universe:   binary.LittleEndian.Uint64(b[10:18]),
-		N:          binary.LittleEndian.Uint64(b[18:26]),
-		Decrements: binary.LittleEndian.Uint64(b[26:34]),
-		Entries:    binary.LittleEndian.Uint64(b[34:42]),
-	}
-	return h, Format(ver), nil
-}
-
-// byteReaderFor adapts r to io.ByteReader without buffering ahead: nested
-// blobs share one reader, so over-reading a single byte would corrupt the
-// next decode.
-func byteReaderFor(r io.Reader) io.ByteReader {
-	if br, ok := r.(io.ByteReader); ok {
-		return br
-	}
-	return &oneByteReader{r: r}
-}
-
-type oneByteReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func (b *oneByteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.buf[:]); err != nil {
-		return 0, err
-	}
-	return b.buf[0], nil
-}
-
-// readUvarintCanonical decodes one uvarint, rejecting non-minimal
-// encodings (a most-significant group of zero, e.g. 0x80 0x00 for 0).
-// binary.ReadUvarint accepts those, which would break the canonical-bytes
-// property: two byte strings would decode to the same state.
-func readUvarintCanonical(br io.ByteReader) (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; ; i++ {
-		b, err := br.ReadByte()
-		if err != nil {
-			if err == io.EOF && i > 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, err
-		}
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, fmt.Errorf("encoding: varint overflows 64 bits")
-			}
-			if i > 0 && b == 0 {
-				return 0, fmt.Errorf("encoding: non-minimal varint")
-			}
-			return x | uint64(b)<<s, nil
-		}
-		if i == binary.MaxVarintLen64-1 {
-			return 0, fmt.Errorf("encoding: varint overflows 64 bits")
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-}
-
-// writeEntries emits the counter table in ascending key order — a canonical
-// encoding, so equal tables serialize to equal bytes (and nothing about
-// insertion history leaks through the wire format; the Section 5.2 release
-// concern applies to serialized sketches too).
-func writeEntries(w io.Writer, counts map[stream.Item]int64, f Format) error {
-	keys := make([]stream.Item, 0, len(counts))
-	for x := range counts {
-		keys = append(keys, x)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	vals := make([]int64, len(keys))
-	for i, x := range keys {
-		vals[i] = counts[x]
-	}
-	return writeEntryColumns(w, keys, vals, f)
-}
-
-// writeEntryColumns streams parallel key/count columns (keys strictly
-// ascending) in the requested entry format.
-func writeEntryColumns(w io.Writer, keys []stream.Item, vals []int64, f Format) error {
-	var buf [2 * binary.MaxVarintLen64]byte
-	prev := uint64(0)
-	for i, x := range keys {
-		var n int
-		if f == FormatDelta {
-			n = binary.PutUvarint(buf[:], uint64(x)-prev)
-			n += binary.PutUvarint(buf[n:], uint64(vals[i]))
-			prev = uint64(x)
-		} else {
-			binary.LittleEndian.PutUint64(buf[:8], uint64(x))
-			binary.LittleEndian.PutUint64(buf[8:16], uint64(vals[i]))
-			n = 16
-		}
-		if _, err := w.Write(buf[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readEntryColumns decodes n entries into parallel key/count columns,
-// enforcing strictly ascending keys in both formats (and, for FormatDelta,
-// minimal varints — the canonicality guard).
-func readEntryColumns(r io.Reader, n uint64, f Format, keys []stream.Item, vals []int64) ([]stream.Item, []int64, error) {
-	if f == FormatDelta {
-		br := byteReaderFor(r)
-		var prev uint64
-		for i := uint64(0); i < n; i++ {
-			d, err := readUvarintCanonical(br)
-			if err != nil {
-				return nil, nil, fmt.Errorf("encoding: entry %d: %w", i, err)
-			}
-			if i > 0 && d == 0 {
-				return nil, nil, fmt.Errorf("encoding: entries not strictly ascending at %d", i)
-			}
-			item := prev + d
-			if item < prev {
-				return nil, nil, fmt.Errorf("encoding: entry %d: key overflows", i)
-			}
-			c, err := readUvarintCanonical(br)
-			if err != nil {
-				return nil, nil, fmt.Errorf("encoding: entry %d: %w", i, err)
-			}
-			prev = item
-			keys = append(keys, stream.Item(item))
-			vals = append(vals, int64(c))
-		}
-		return keys, vals, nil
-	}
-	var buf [16]byte
-	var prev uint64
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, nil, fmt.Errorf("encoding: entry %d: %w", i, err)
-		}
-		item := binary.LittleEndian.Uint64(buf[:8])
-		if i > 0 && item <= prev {
-			return nil, nil, fmt.Errorf("encoding: entries not strictly ascending at %d", i)
-		}
-		prev = item
-		keys = append(keys, stream.Item(item))
-		vals = append(vals, int64(binary.LittleEndian.Uint64(buf[8:])))
-	}
-	return keys, vals, nil
-}
-
-func readEntries(r io.Reader, n uint64, maxEntries uint64, f Format) (map[stream.Item]int64, error) {
-	if n > maxEntries {
-		return nil, fmt.Errorf("encoding: %d entries exceed limit %d", n, maxEntries)
-	}
-	keys, vals, err := readEntryColumns(r, n, f, make([]stream.Item, 0, n), make([]int64, 0, n))
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[stream.Item]int64, n)
-	for i, x := range keys {
-		out[x] = vals[i]
-	}
-	return out, nil
-}
-
-// MarshalSummary serializes a mergeable summary in the fixed entry format
-// (the wire format live cluster traffic speaks). The summary's flat columns
-// are already in ascending key order — the canonical wire order — so the
-// entries are streamed straight from the backing slices with no sort.
-func MarshalSummary(w io.Writer, s *merge.Summary) error {
-	return marshalSummary(w, s, FormatFixed)
-}
-
-func marshalSummary(w io.Writer, s *merge.Summary, f Format) error {
-	if err := writeHeader(w, header{
-		Kind: KindSummary, K: uint64(s.K), Entries: uint64(s.Len()),
-	}, f); err != nil {
-		return err
-	}
-	return writeEntryColumns(w, s.Keys(), s.Counts(), f)
-}
-
-// UnmarshalSummary reads a summary in either entry format, validating
-// structure (k bound, strictly ascending keys, positive counters). The wire
-// order is already the flat summary's storage order, so the decoder fills
-// the parallel columns directly — no intermediate map.
-func UnmarshalSummary(r io.Reader) (*merge.Summary, error) {
-	s, _, err := unmarshalSummary(r)
-	return s, err
-}
-
-func unmarshalSummary(r io.Reader) (*merge.Summary, Format, error) {
-	h, f, err := readHeader(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	if h.Kind != KindSummary {
-		return nil, 0, fmt.Errorf("encoding: expected summary, got kind %d", h.Kind)
-	}
-	if h.K == 0 || h.K > 1<<30 {
-		return nil, 0, fmt.Errorf("encoding: implausible k %d", h.K)
-	}
-	if h.Entries > h.K {
-		return nil, 0, fmt.Errorf("encoding: %d entries exceed limit %d", h.Entries, h.K)
-	}
-	keys, counts, err := readEntryColumns(r, h.Entries, f,
-		make([]stream.Item, 0, h.Entries), make([]int64, 0, h.Entries))
-	if err != nil {
-		return nil, 0, err
-	}
-	s, err := merge.FromSorted(int(h.K), keys, counts)
-	if err != nil {
-		return nil, 0, fmt.Errorf("encoding: %w", err)
-	}
-	return s, f, nil
-}
-
-// AppendSummary appends the canonical KindSummary blob for s to dst and
-// returns the extended slice — byte-for-byte what MarshalSummary writes
-// (fixed entry format, the wire format live cluster traffic speaks), but
-// with no intermediate buffer, so a shipper or root reusing dst encodes
-// with zero allocations at steady state.
-func AppendSummary(dst []byte, s *merge.Summary) []byte {
+func appendHeader(dst []byte, h header, f format) []byte {
 	dst = append(dst, magic[:]...)
-	dst = append(dst, byte(FormatFixed), byte(KindSummary))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.K))
-	dst = binary.LittleEndian.AppendUint64(dst, 0) // universe
-	dst = binary.LittleEndian.AppendUint64(dst, 0) // n
-	dst = binary.LittleEndian.AppendUint64(dst, 0) // decrements
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Len()))
-	keys, vals := s.Keys(), s.Counts()
+	dst = append(dst, byte(f), byte(h.Kind))
+	dst = binary.LittleEndian.AppendUint64(dst, h.K)
+	dst = binary.LittleEndian.AppendUint64(dst, h.Universe)
+	dst = binary.LittleEndian.AppendUint64(dst, h.N)
+	dst = binary.LittleEndian.AppendUint64(dst, h.Decrements)
+	return binary.LittleEndian.AppendUint64(dst, h.Entries)
+}
+
+// appendEntries appends parallel key/count columns (keys strictly
+// ascending) in entry format f. Ascending key order is the canonical
+// order: equal tables serialize to equal bytes, and nothing about
+// insertion history leaks through the wire format (the Section 5.2 release
+// concern applies to serialized sketches too).
+func appendEntries(dst []byte, keys []stream.Item, vals []int64, f format) []byte {
+	if f == formatDelta {
+		prev := uint64(0)
+		for i, x := range keys {
+			dst = binary.AppendUvarint(dst, uint64(x)-prev)
+			dst = binary.AppendUvarint(dst, uint64(vals[i]))
+			prev = uint64(x)
+		}
+		return dst
+	}
+	dst = slices.Grow(dst, 16*len(keys))
 	for i, x := range keys {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(vals[i]))
@@ -383,101 +142,173 @@ func AppendSummary(dst []byte, s *merge.Summary) []byte {
 	return dst
 }
 
-// DecodeSummaryColumns decodes a KindSummary blob from p into the provided
-// column scratch (append semantics — pass keys[:0], vals[:0] to reuse
-// capacity) and returns k plus the extended columns. It accepts both entry
-// formats with exactly UnmarshalSummary's validation: k bound, entries ≤ k,
-// strictly ascending keys, positive counters, canonical varints. Bytes
-// after the entry table are ignored, matching the reader-based decoder,
-// whose reader is simply left unconsumed. This is the allocation-free half
-// of the root's summary decode path; the returned columns alias the
-// scratch.
-func DecodeSummaryColumns(p []byte, keys []stream.Item, vals []int64) (int, []stream.Item, []int64, error) {
-	if len(p) < headerWireLen {
-		if len(p) < 4 || [4]byte(p[:4]) != magic {
-			return 0, keys, vals, fmt.Errorf("encoding: reading magic: %w", io.ErrUnexpectedEOF)
-		}
-		return 0, keys, vals, fmt.Errorf("encoding: summary header truncated: %w", io.ErrUnexpectedEOF)
+// cursor decodes off the front of a byte slice. The first failure sticks
+// in err and every later read returns zero values, so a decoder checks err
+// after a run of fields — and always before it sizes an allocation from
+// one of them.
+type cursor struct {
+	p   []byte
+	err error
+}
+
+func (c *cursor) fail(msg string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(msg, args...)
 	}
-	if [4]byte(p[:4]) != magic {
-		return 0, keys, vals, fmt.Errorf("encoding: bad magic %q", p[:4])
+}
+
+// take consumes the next n bytes, or fails when fewer remain.
+func (c *cursor) take(n int) []byte {
+	if c.err != nil {
+		return nil
 	}
-	h, f, err := parseHeaderTail(p[4:headerWireLen])
-	if err != nil {
-		return 0, keys, vals, err
+	if len(c.p) < n {
+		c.fail("encoding: need %d bytes, %d left: %w", n, len(c.p), io.ErrUnexpectedEOF)
+		return nil
 	}
-	if h.Kind != KindSummary {
-		return 0, keys, vals, fmt.Errorf("encoding: expected summary, got kind %d", h.Kind)
+	b := c.p[:n]
+	c.p = c.p[n:]
+	return b
+}
+
+func (c *cursor) u64() uint64 {
+	if b := c.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	if h.K == 0 || h.K > 1<<30 {
-		return 0, keys, vals, fmt.Errorf("encoding: implausible k %d", h.K)
+	return 0
+}
+
+// str consumes a 2-byte length prefix and that many bytes.
+func (c *cursor) str(max int) string {
+	b := c.take(2)
+	if b == nil {
+		return ""
 	}
-	if h.Entries > h.K {
-		return 0, keys, vals, fmt.Errorf("encoding: %d entries exceed limit %d", h.Entries, h.K)
+	n := int(binary.LittleEndian.Uint16(b))
+	if n > max {
+		c.fail("encoding: string length %d exceeds %d", n, max)
+		return ""
 	}
-	body := p[headerWireLen:]
-	if f == FormatDelta {
-		var prev uint64
-		for i := uint64(0); i < h.Entries; i++ {
-			d, n, err := uvarintCanonical(body)
-			if err != nil {
-				return 0, keys, vals, fmt.Errorf("encoding: entry %d: %w", i, err)
-			}
-			body = body[n:]
-			if i > 0 && d == 0 {
-				return 0, keys, vals, fmt.Errorf("encoding: entries not strictly ascending at %d", i)
-			}
-			item := prev + d
-			if item < prev {
-				return 0, keys, vals, fmt.Errorf("encoding: entry %d: key overflows", i)
-			}
-			c, n, err := uvarintCanonical(body)
-			if err != nil {
-				return 0, keys, vals, fmt.Errorf("encoding: entry %d: %w", i, err)
-			}
-			body = body[n:]
-			if int64(c) <= 0 {
-				return 0, keys, vals, fmt.Errorf("encoding: merge: non-positive counter %d for key %d", int64(c), item)
-			}
-			prev = item
-			keys = append(keys, stream.Item(item))
-			vals = append(vals, int64(c))
-		}
-		return int(h.K), keys, vals, nil
+	return string(c.take(n))
+}
+
+// header consumes the fixed prefix, checking magic and version.
+func (c *cursor) header() (header, format) {
+	if len(c.p) >= 4 && [4]byte(c.p[:4]) != magic {
+		c.fail("encoding: bad magic %q", c.p[:4])
 	}
-	if uint64(len(body)) < h.Entries*16 {
-		return 0, keys, vals, fmt.Errorf("encoding: entry %d: %w", uint64(len(body))/16, io.ErrUnexpectedEOF)
+	b := c.take(headerWireLen)
+	if b == nil {
+		return header{}, 0
 	}
+	f := format(b[4])
+	if f != formatFixed && f != formatDelta {
+		c.fail("encoding: unsupported version %d", b[4])
+		return header{}, 0
+	}
+	return header{
+		Kind:       Kind(b[5]),
+		K:          binary.LittleEndian.Uint64(b[6:14]),
+		Universe:   binary.LittleEndian.Uint64(b[14:22]),
+		N:          binary.LittleEndian.Uint64(b[22:30]),
+		Decrements: binary.LittleEndian.Uint64(b[30:38]),
+		Entries:    binary.LittleEndian.Uint64(b[38:46]),
+	}, f
+}
+
+// entries consumes n entries in format f, appending to keys/vals and
+// returning the extended columns. It is the one entry decoder, so every
+// kind gets the same checks: n is bounded by the bytes present before
+// anything is allocated (a fixed entry is 16 bytes, a delta entry at least
+// 2), keys must be strictly ascending, counts at least min (1 for a
+// summary's positive counters, 0 for Algorithm 1 state), and varints
+// minimal — the canonicality guard.
+func (c *cursor) entries(n uint64, f format, min int64, keys []stream.Item, vals []int64) ([]stream.Item, []int64) {
+	if c.err != nil {
+		return keys, vals
+	}
+	per := 16
+	if f == formatDelta {
+		per = 2
+	}
+	if n > uint64(len(c.p)/per) {
+		c.fail("encoding: %d entries in %d bytes: %w", n, len(c.p), io.ErrUnexpectedEOF)
+		return keys, vals
+	}
+	if f == formatFixed {
+		return c.fixedEntries(int(n), min, keys, vals)
+	}
+	keys, vals = slices.Grow(keys, int(n)), slices.Grow(vals, int(n))
+	p := c.p
 	var prev uint64
-	for i := uint64(0); i < h.Entries; i++ {
-		off := i * 16
-		item := binary.LittleEndian.Uint64(body[off : off+8])
-		c := int64(binary.LittleEndian.Uint64(body[off+8 : off+16]))
-		if i > 0 && item <= prev {
-			return 0, keys, vals, fmt.Errorf("encoding: entries not strictly ascending at %d", i)
+	for i := uint64(0); i < n; i++ {
+		d, w, err := uvarintCanonical(p)
+		var u uint64
+		if err == nil {
+			p = p[w:]
+			u, w, err = uvarintCanonical(p)
 		}
-		if c <= 0 {
-			return 0, keys, vals, fmt.Errorf("encoding: merge: non-positive counter %d for key %d", c, item)
+		if err != nil {
+			c.fail("encoding: entry %d: %w", i, err)
+			return keys, vals
+		}
+		p = p[w:]
+		item, count := prev+d, int64(u) // a key that wraps lands at or below prev
+		if (i > 0 && item <= prev) || count < min {
+			c.failEntry(i, item, prev, count, min)
+			return keys, vals
 		}
 		prev = item
 		keys = append(keys, stream.Item(item))
-		vals = append(vals, c)
+		vals = append(vals, count)
 	}
-	return int(h.K), keys, vals, nil
+	c.p = p
+	return keys, vals
 }
 
-// uvarintCanonical is readUvarintCanonical over a byte slice: it decodes
-// one minimal-form uvarint from the front of p and returns the value and
-// encoded length.
+// fixedEntries is entries for the fixed format, whose n entries the caller
+// has checked are present. This is the root's per-ship decode loop, so the
+// columns are sized once and written by index.
+func (c *cursor) fixedEntries(n int, min int64, keys []stream.Item, vals []int64) ([]stream.Item, []int64) {
+	base := len(keys)
+	keys = slices.Grow(keys, n)[:base+n]
+	vals = slices.Grow(vals, n)[:base+n]
+	ks, vs, p := keys[base:], vals[base:], c.p[:16*n]
+	var prev uint64
+	for i := range ks {
+		e := p[16*i : 16*i+16]
+		item, count := binary.LittleEndian.Uint64(e), int64(binary.LittleEndian.Uint64(e[8:]))
+		if (i > 0 && item <= prev) || count < min {
+			c.failEntry(uint64(i), item, prev, count, min)
+			return keys[:base+i], vals[:base+i]
+		}
+		prev = item
+		ks[i], vs[i] = stream.Item(item), count
+	}
+	c.p = c.p[16*n:]
+	return keys, vals
+}
+
+// failEntry records why entry i was refused.
+func (c *cursor) failEntry(i, item, prev uint64, count, min int64) {
+	if i > 0 && item <= prev {
+		c.fail("encoding: entries not strictly ascending at %d", i)
+	} else {
+		c.fail("encoding: counter %d for key %d below %d", count, item, min)
+	}
+}
+
+// uvarintCanonical decodes one uvarint from the front of p and returns the
+// value and encoded length, rejecting non-minimal encodings (a
+// most-significant group of zero, e.g. 0x80 0x00 for 0). binary.Uvarint
+// accepts those, which would break the canonical-bytes property: two byte
+// strings would decode to the same state.
 func uvarintCanonical(p []byte) (uint64, int, error) {
 	var x uint64
 	var s uint
 	for i := 0; ; i++ {
 		if i >= len(p) {
-			if i > 0 {
-				return 0, 0, io.ErrUnexpectedEOF
-			}
-			return 0, 0, io.EOF
+			return 0, 0, io.ErrUnexpectedEOF
 		}
 		b := p[i]
 		if b < 0x80 {
@@ -497,81 +328,109 @@ func uvarintCanonical(p []byte) (uint64, int, error) {
 	}
 }
 
-// MarshalPAMG serializes a PAMG counter table together with its
-// bookkeeping so an aggregator can both merge it and reason about its
-// error bound (Lemma 26 needs the total element count).
-func MarshalPAMG(w io.Writer, s *pamg.Sketch) error {
-	counts := s.Counters()
-	if err := writeHeader(w, header{
-		Kind: KindPAMG, K: uint64(s.K()), N: uint64(s.TotalLen()),
-		Decrements: uint64(s.Decrements()), Entries: uint64(len(counts)),
-	}, FormatFixed); err != nil {
-		return err
+// AppendSummary appends the canonical KindSummary blob for s to dst and
+// returns the extended slice, in the fixed entry format (the wire format
+// live cluster traffic speaks). The summary's flat columns are already in
+// ascending key order — the canonical wire order — so the entries are
+// copied straight from the backing slices, and a shipper or root reusing
+// dst encodes with zero allocations at steady state.
+func AppendSummary(dst []byte, s *merge.Summary) []byte {
+	return appendSummary(dst, s, formatFixed)
+}
+
+func appendSummary(dst []byte, s *merge.Summary, f format) []byte {
+	dst = appendHeader(dst, header{Kind: KindSummary, K: uint64(s.K), Entries: uint64(s.Len())}, f)
+	return appendEntries(dst, s.Keys(), s.Counts(), f)
+}
+
+// MarshalSummary writes AppendSummary's bytes to w in one Write.
+func MarshalSummary(w io.Writer, s *merge.Summary) error {
+	_, err := w.Write(AppendSummary(nil, s))
+	return err
+}
+
+// summaryColumns consumes one KindSummary blob in either entry format: the
+// one place a summary's structure (k bound, entries ≤ k, strictly
+// ascending keys, positive counters) is validated.
+func (c *cursor) summaryColumns(keys []stream.Item, vals []int64) (int, format, []stream.Item, []int64) {
+	h, f := c.header()
+	switch {
+	case c.err != nil:
+	case h.Kind != KindSummary:
+		c.fail("encoding: expected summary, got kind %d", h.Kind)
+	case h.K == 0 || h.K > maxK:
+		c.fail("encoding: implausible k %d", h.K)
+	case h.Entries > h.K:
+		c.fail("encoding: %d entries exceed limit %d", h.Entries, h.K)
 	}
-	return writeEntries(w, counts, FormatFixed)
+	keys, vals = c.entries(h.Entries, f, 1, keys, vals)
+	return int(h.K), f, keys, vals
 }
 
-// PAMGWire is the decoded form of a serialized PAMG sketch: the counter
-// table plus the error-bound bookkeeping. (The sketch itself cannot be
-// resumed from the wire — PAMG state is its counter table, so this is
-// lossless for aggregation purposes.)
-type PAMGWire struct {
-	K          int
-	TotalLen   int64
-	Decrements int64
-	Counts     map[stream.Item]int64
+// summary consumes one KindSummary blob into a summary that owns its
+// columns.
+func (c *cursor) summary() (*merge.Summary, format) {
+	k, f, keys, vals := c.summaryColumns(nil, nil)
+	if c.err != nil {
+		return nil, 0
+	}
+	s, err := merge.FromSorted(k, keys, vals)
+	if err != nil {
+		c.fail("encoding: %w", err)
+	}
+	return s, f
 }
 
-// UnmarshalPAMG reads a PAMG wire table (either entry format).
-func UnmarshalPAMG(r io.Reader) (*PAMGWire, error) {
-	h, f, err := readHeader(r)
+// DecodeSummaryColumns decodes a KindSummary blob from p into the provided
+// column scratch (append semantics — pass keys[:0], vals[:0] to reuse
+// capacity) and returns k plus the extended columns, which merge.FromSorted
+// accepts as they are. Bytes after the entry table are ignored. This is the
+// allocation-free half of the root's summary decode path; the returned
+// columns alias the scratch, and on error the scratch is handed back so a
+// pooling caller keeps its capacity.
+func DecodeSummaryColumns(p []byte, keys []stream.Item, vals []int64) (int, []stream.Item, []int64, error) {
+	c := cursor{p: p}
+	k, _, keys, vals := c.summaryColumns(keys, vals)
+	if c.err != nil {
+		return 0, keys, vals, c.err
+	}
+	return k, keys, vals, nil
+}
+
+// UnmarshalSummary reads r to EOF and decodes the summary at its front.
+func UnmarshalSummary(r io.Reader) (*merge.Summary, error) {
+	p, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if h.Kind != KindPAMG {
-		return nil, fmt.Errorf("encoding: expected pamg, got kind %d", h.Kind)
-	}
-	if h.K == 0 || h.K > 1<<30 {
-		return nil, fmt.Errorf("encoding: implausible k %d", h.K)
-	}
-	counts, err := readEntries(r, h.Entries, h.K, f)
-	if err != nil {
-		return nil, err
-	}
-	for x, c := range counts {
-		if c <= 0 {
-			return nil, fmt.Errorf("encoding: non-positive counter %d for item %d", c, x)
-		}
-	}
-	return &PAMGWire{
-		K: int(h.K), TotalLen: int64(h.N), Decrements: int64(h.Decrements),
-		Counts: counts,
-	}, nil
+	c := cursor{p: p}
+	s, _ := c.summary()
+	return s, c.err
 }
 
-// MarshalSketch serializes the full Algorithm 1 state (including zero and
-// dummy counters) in the fixed entry format so a paused stream can be
-// resumed elsewhere.
-func MarshalSketch(w io.Writer, s *mg.Sketch) error {
-	return marshalSketch(w, s, FormatFixed)
-}
-
-func marshalSketch(w io.Writer, s *mg.Sketch, f Format) error {
-	counts := s.Counters()
-	if err := writeHeader(w, header{
+// appendSketch appends the full Algorithm 1 state of s (zero and dummy
+// counters included) as a KindCounters blob.
+func appendSketch(dst []byte, s *mg.Sketch, f format) []byte {
+	keys, vals := s.AppendAll(make([]stream.Item, 0, s.K()), make([]int64, 0, s.K()))
+	dst = appendHeader(dst, header{
 		Kind: KindCounters, K: uint64(s.K()), Universe: s.Universe(),
 		N: uint64(s.N()), Decrements: uint64(s.Decrements()),
-		Entries: uint64(len(counts)),
-	}, f); err != nil {
-		return err
-	}
-	return writeEntries(w, counts, f)
+		Entries: uint64(len(keys)),
+	}, f)
+	return appendEntries(dst, keys, vals, f)
+}
+
+// MarshalSketch writes the full Algorithm 1 state (including zero and
+// dummy counters) in the fixed entry format, in one Write, so a paused
+// stream can be resumed elsewhere.
+func MarshalSketch(w io.Writer, s *mg.Sketch) error {
+	_, err := w.Write(appendSketch(nil, s, formatFixed))
+	return err
 }
 
 // SketchWire is the decoded full Algorithm 1 state. The counter table is
 // held as flat parallel columns in strictly ascending key order — the wire
-// order — so the fault-in path can hand it straight to mg.RestoreColumns
-// without materializing a map per shard.
+// order — so a restore hands it straight to mg.RestoreColumns.
 type SketchWire struct {
 	K          int
 	Universe   uint64
@@ -581,50 +440,38 @@ type SketchWire struct {
 	Vals       []int64
 }
 
-// Counts materializes the counter table as a map, for callers that need
-// associative lookups; the restore hot path reads the columns directly.
-func (w *SketchWire) Counts() map[stream.Item]int64 {
-	out := make(map[stream.Item]int64, len(w.Keys))
-	for i, x := range w.Keys {
-		out[x] = w.Vals[i]
+// sketch consumes one KindCounters blob in either entry format.
+func (c *cursor) sketch() (*SketchWire, format) {
+	h, f := c.header()
+	switch {
+	case c.err != nil:
+	case h.Kind != KindCounters:
+		c.fail("encoding: expected counters, got kind %d", h.Kind)
+	case h.K == 0 || h.K > maxK:
+		c.fail("encoding: implausible k %d", h.K)
+	case h.Entries != h.K:
+		c.fail("encoding: Algorithm 1 state must hold exactly k=%d entries, got %d", h.K, h.Entries)
 	}
-	return out
-}
-
-// UnmarshalSketch reads a full sketch state (either entry format).
-func UnmarshalSketch(r io.Reader) (*SketchWire, error) {
-	s, _, err := unmarshalSketch(r)
-	return s, err
-}
-
-func unmarshalSketch(r io.Reader) (*SketchWire, Format, error) {
-	h, f, err := readHeader(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	if h.Kind != KindCounters {
-		return nil, 0, fmt.Errorf("encoding: expected counters, got kind %d", h.Kind)
-	}
-	if h.K == 0 || h.K > 1<<30 {
-		return nil, 0, fmt.Errorf("encoding: implausible k %d", h.K)
-	}
-	if h.Entries != h.K {
-		return nil, 0, fmt.Errorf("encoding: Algorithm 1 state must hold exactly k=%d entries, got %d", h.K, h.Entries)
-	}
-	keys, vals, err := readEntryColumns(r, h.Entries, f,
-		make([]stream.Item, 0, h.Entries), make([]int64, 0, h.Entries))
-	if err != nil {
-		return nil, 0, err
-	}
-	for i, c := range vals {
-		if c < 0 {
-			return nil, 0, fmt.Errorf("encoding: negative counter %d for item %d", c, keys[i])
-		}
+	keys, vals := c.entries(h.Entries, f, 0, nil, nil)
+	if c.err != nil {
+		return nil, 0
 	}
 	return &SketchWire{
 		K: int(h.K), Universe: h.Universe, N: int64(h.N),
 		Decrements: int64(h.Decrements), Keys: keys, Vals: vals,
-	}, f, nil
+	}, f
+}
+
+// UnmarshalSketch reads r to EOF and decodes the Algorithm 1 state at its
+// front.
+func UnmarshalSketch(r io.Reader) (*SketchWire, error) {
+	p, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	c := cursor{p: p}
+	s, _ := c.sketch()
+	return s, c.err
 }
 
 // MarshalItems writes a raw batch of stream items as consecutive 8-byte

@@ -9,7 +9,6 @@ import (
 
 	"dpmg/internal/merge"
 	"dpmg/internal/mg"
-	"dpmg/internal/pamg"
 	"dpmg/internal/stream"
 	"dpmg/internal/workload"
 )
@@ -43,6 +42,21 @@ func mustSummary(t *testing.T, k int, counts map[stream.Item]int64) *merge.Summa
 		t.Fatal(err)
 	}
 	return s
+}
+
+// wireCounts is the decoded counter table as a map, for comparison against
+// mg.Sketch.Counters.
+func wireCounts(w *SketchWire) map[stream.Item]int64 {
+	out := make(map[stream.Item]int64, len(w.Keys))
+	for i, x := range w.Keys {
+		out[x] = w.Vals[i]
+	}
+	return out
+}
+
+// restoreWire rebuilds a live sketch from a decoded wire.
+func restoreWire(w *SketchWire) (*mg.Sketch, error) {
+	return mg.RestoreColumns(w.K, w.Universe, w.N, w.Decrements, w.Keys, w.Vals)
 }
 
 func TestSummaryRoundTripProperty(t *testing.T) {
@@ -95,25 +109,6 @@ func TestCanonicalBytes(t *testing.T) {
 	}
 }
 
-func TestPAMGRoundTrip(t *testing.T) {
-	sk := pamg.New(32)
-	sk.Process(workload.UserSets(2000, 300, 4, 1.1, 2))
-	var buf bytes.Buffer
-	if err := MarshalPAMG(&buf, sk); err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalPAMG(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.K != sk.K() || got.TotalLen != sk.TotalLen() || got.Decrements != sk.Decrements() {
-		t.Fatalf("metadata mismatch: %+v", got)
-	}
-	if !reflect.DeepEqual(got.Counts, sk.Counters()) {
-		t.Fatal("counter mismatch")
-	}
-}
-
 func TestSketchRoundTrip(t *testing.T) {
 	sk := mg.New(8, 500)
 	sk.Process(workload.Zipf(5000, 500, 1.2, 3))
@@ -128,7 +123,7 @@ func TestSketchRoundTrip(t *testing.T) {
 	if got.K != 8 || got.Universe != 500 || got.N != sk.N() || got.Decrements != sk.Decrements() {
 		t.Fatalf("metadata mismatch: %+v", got)
 	}
-	if !reflect.DeepEqual(got.Counts(), sk.Counters()) {
+	if !reflect.DeepEqual(wireCounts(got), sk.Counters()) {
 		t.Fatal("counter mismatch")
 	}
 }
@@ -148,14 +143,20 @@ func TestRejectsForeignBytes(t *testing.T) {
 }
 
 func TestRejectsKindMismatch(t *testing.T) {
-	sk := pamg.New(4)
-	sk.ProcessUser([]stream.Item{1})
-	var buf bytes.Buffer
-	if err := MarshalPAMG(&buf, sk); err != nil {
-		t.Fatal(err)
+	// Kind 2 is reserved (the retired PAMG table): no decoder may take it.
+	raw := appendHeader(nil, header{Kind: 2, K: 4, N: 1, Entries: 1}, formatFixed)
+	raw = appendEntries(raw, []stream.Item{1}, []int64{1}, formatFixed)
+	if _, err := UnmarshalSummary(bytes.NewReader(raw)); err == nil {
+		t.Error("kind-2 bytes accepted as summary")
 	}
-	if _, err := UnmarshalSummary(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("pamg bytes accepted as summary")
+	if _, err := UnmarshalSketch(bytes.NewReader(raw)); err == nil {
+		t.Error("kind-2 bytes accepted as sketch")
+	}
+	if _, err := decodeManager(raw); err == nil {
+		t.Error("kind-2 bytes accepted as manager snapshot")
+	}
+	if _, err := DecodeStream(raw); err == nil {
+		t.Error("kind-2 bytes accepted as stream record")
 	}
 }
 
@@ -183,14 +184,9 @@ func TestRejectsCorruptEntries(t *testing.T) {
 func TestRejectsOverfullSummary(t *testing.T) {
 	// Entries beyond k must be refused (resource exhaustion guard). The
 	// constructors cannot build such a summary, so hand-craft the bytes.
-	var buf bytes.Buffer
-	if err := writeHeader(&buf, header{Kind: KindSummary, K: 2, Entries: 3}, FormatFixed); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeEntries(&buf, map[stream.Item]int64{1: 1, 2: 1, 3: 1}, FormatFixed); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalSummary(&buf); err == nil {
+	raw := appendHeader(nil, header{Kind: KindSummary, K: 2, Entries: 3}, formatFixed)
+	raw = appendEntries(raw, []stream.Item{1, 2, 3}, []int64{1, 1, 1}, formatFixed)
+	if _, err := UnmarshalSummary(bytes.NewReader(raw)); err == nil {
 		t.Error("summary with more than k entries accepted")
 	}
 }
@@ -198,34 +194,18 @@ func TestRejectsOverfullSummary(t *testing.T) {
 func TestRejectsUnsortedEntries(t *testing.T) {
 	// Keys out of ascending order must be refused (the wire order is the
 	// canonical storage order of the flat summary).
-	var buf bytes.Buffer
-	if err := writeHeader(&buf, header{Kind: KindSummary, K: 4, Entries: 2}, FormatFixed); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range [][2]uint64{{9, 1}, {3, 1}} {
-		var b [16]byte
-		for i, v := range e {
-			for j := 0; j < 8; j++ {
-				b[i*8+j] = byte(v >> (8 * j))
-			}
-		}
-		buf.Write(b[:])
-	}
-	if _, err := UnmarshalSummary(&buf); err == nil {
+	raw := appendHeader(nil, header{Kind: KindSummary, K: 4, Entries: 2}, formatFixed)
+	raw = appendEntries(raw, []stream.Item{9, 3}, []int64{1, 1}, formatFixed)
+	if _, err := UnmarshalSummary(bytes.NewReader(raw)); err == nil {
 		t.Error("descending entries accepted")
 	}
 }
 
 func TestSketchWireRequiresExactlyK(t *testing.T) {
 	// Hand-craft a counters blob with fewer than k entries.
-	var buf bytes.Buffer
-	if err := writeHeader(&buf, header{Kind: KindCounters, K: 4, Universe: 10, Entries: 2}, FormatFixed); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeEntries(&buf, map[stream.Item]int64{1: 0, 2: 1}, FormatFixed); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalSketch(&buf); err == nil {
+	raw := appendHeader(nil, header{Kind: KindCounters, K: 4, Universe: 10, Entries: 2}, formatFixed)
+	raw = appendEntries(raw, []stream.Item{1, 2}, []int64{0, 1}, formatFixed)
+	if _, err := UnmarshalSketch(bytes.NewReader(raw)); err == nil {
 		t.Error("sketch state with entries != k accepted")
 	}
 }
@@ -290,8 +270,6 @@ func TestMarshalWriteErrors(t *testing.T) {
 	sum := mustSummary(t, 4, map[stream.Item]int64{1: 2, 3: 4})
 	sk := mg.New(2, 10)
 	sk.Update(1)
-	pa := pamg.New(2)
-	pa.ProcessUser([]stream.Item{1})
 	// Try every truncation point; each must surface an error.
 	for budget := 0; budget < 60; budget += 7 {
 		if err := MarshalSummary(&failingWriter{left: budget}, sum); err == nil {
@@ -299,9 +277,6 @@ func TestMarshalWriteErrors(t *testing.T) {
 		}
 		if err := MarshalSketch(&failingWriter{left: budget}, sk); err == nil {
 			t.Errorf("sketch: no error at budget %d", budget)
-		}
-		if err := MarshalPAMG(&failingWriter{left: budget}, pa); err == nil {
-			t.Errorf("pamg: no error at budget %d", budget)
 		}
 	}
 }
@@ -313,9 +288,6 @@ func TestUnmarshalWrongKindEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, err := UnmarshalPAMG(bytes.NewReader(raw)); err == nil {
-		t.Error("summary accepted as pamg")
-	}
 	if _, err := UnmarshalSketch(bytes.NewReader(raw)); err == nil {
 		t.Error("summary accepted as sketch")
 	}

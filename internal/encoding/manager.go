@@ -49,6 +49,10 @@ const (
 	maxMechLen = 128
 	// maxShards bounds one stream's raw-ingest shard count.
 	maxShards = 1 << 16
+	// minStreamRecordLen is the least a stream record can occupy: a
+	// one-byte name, the fixed fields, an empty mechanism name, the
+	// aggregate flag and one shard blob's header.
+	minStreamRecordLen = 2 + 1 + 3*8 + 2 + 8*8 + 1 + headerWireLen
 )
 
 // StreamState is one stream's record in a manager snapshot. The marshal
@@ -83,14 +87,6 @@ type StreamState struct {
 	// not carry them — resident streams recompute them live.
 	AggCounters    int
 	IngestCounters int
-
-	// Format selects the entry encoding of a standalone KindStream offload
-	// record (zero means FormatFixed). The unmarshal side records the format
-	// it decoded, so re-marshaling an unchanged record reproduces the input
-	// bytes for either format version — double-offload idempotence. Every
-	// nested blob carries the record's format; KindManager tables ignore
-	// this field and always use FormatFixed.
-	Format Format
 }
 
 // validate checks the record fields shared by both directions.
@@ -101,7 +97,7 @@ func (s *StreamState) validate() error {
 	if len(s.Mechanism) > maxMechLen {
 		return fmt.Errorf("encoding: stream %q: mechanism name length %d exceeds %d", s.Name, len(s.Mechanism), maxMechLen)
 	}
-	if s.K <= 0 || s.K > 1<<30 {
+	if s.K <= 0 || s.K > maxK {
 		return fmt.Errorf("encoding: stream %q: implausible k %d", s.Name, s.K)
 	}
 	if s.Universe == 0 {
@@ -124,201 +120,118 @@ func (s *StreamState) validate() error {
 	return nil
 }
 
-func writeU64(w io.Writer, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
+func appendString(dst []byte, s string) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
+	return append(dst, s...)
 }
 
-func readU64(r io.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
-}
-
-func writeString(w io.Writer, s string, max int) error {
-	if len(s) > max {
-		return fmt.Errorf("encoding: string length %d exceeds %d", len(s), max)
-	}
-	var buf [2]byte
-	binary.LittleEndian.PutUint16(buf[:], uint16(len(s)))
-	if _, err := w.Write(buf[:]); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readString(r io.Reader, max int) (string, error) {
-	var buf [2]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return "", err
-	}
-	n := int(binary.LittleEndian.Uint16(buf[:]))
-	if n > max {
-		return "", fmt.Errorf("encoding: string length %d exceeds %d", n, max)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// writeStreamRecord validates and emits one stream record — the shared
-// body of KindManager tables and KindStream offload records. Nested
-// summary/counter blobs are written in the enclosing document's format f.
-func writeStreamRecord(w io.Writer, s *StreamState, f Format) error {
+// appendStreamRecord validates and appends one stream record — the shared
+// body of KindManager tables and KindStream offload records — with its
+// nested summary/counter blobs in the enclosing document's format f. Every
+// check runs before the first append, so on error dst is returned as it
+// came.
+func appendStreamRecord(dst []byte, s *StreamState, f format) ([]byte, error) {
 	if err := s.validate(); err != nil {
-		return err
+		return dst, err
 	}
 	if len(s.ShardSketches) != s.Shards {
-		return fmt.Errorf("encoding: stream %q: %d shard sketches for %d shards", s.Name, len(s.ShardSketches), s.Shards)
-	}
-	if err := writeString(w, s.Name, maxNameLen); err != nil {
-		return err
-	}
-	for _, v := range []uint64{uint64(s.K), s.Universe, uint64(s.Shards)} {
-		if err := writeU64(w, v); err != nil {
-			return err
-		}
-	}
-	if err := writeString(w, s.Mechanism, maxMechLen); err != nil {
-		return err
-	}
-	for _, f := range []float64{s.BudgetEps, s.BudgetDelta, s.SpentEps, s.SpentDelta} {
-		if err := writeU64(w, math.Float64bits(f)); err != nil {
-			return err
-		}
-	}
-	for _, v := range []uint64{uint64(s.Releases), uint64(s.Nodes), uint64(s.Batches), uint64(s.Ingested)} {
-		if err := writeU64(w, v); err != nil {
-			return err
-		}
-	}
-	present := byte(0)
-	if s.Merged != nil {
-		present = 1
-	}
-	if _, err := w.Write([]byte{present}); err != nil {
-		return err
-	}
-	if s.Merged != nil {
-		if err := marshalSummary(w, s.Merged, f); err != nil {
-			return err
-		}
+		return dst, fmt.Errorf("encoding: stream %q: %d shard sketches for %d shards", s.Name, len(s.ShardSketches), s.Shards)
 	}
 	for i, sk := range s.ShardSketches {
 		if sk.K() != s.K || sk.Universe() != s.Universe {
-			return fmt.Errorf("encoding: stream %q: shard %d is (k=%d, d=%d), stream is (k=%d, d=%d)",
+			return dst, fmt.Errorf("encoding: stream %q: shard %d is (k=%d, d=%d), stream is (k=%d, d=%d)",
 				s.Name, i, sk.K(), sk.Universe(), s.K, s.Universe)
 		}
-		if err := marshalSketch(w, sk, f); err != nil {
-			return err
-		}
 	}
-	return nil
+	dst = appendString(dst, s.Name)
+	for _, v := range [...]uint64{uint64(s.K), s.Universe, uint64(s.Shards)} {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	dst = appendString(dst, s.Mechanism)
+	for _, v := range [...]float64{s.BudgetEps, s.BudgetDelta, s.SpentEps, s.SpentDelta} {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	for _, v := range [...]int64{s.Releases, s.Nodes, s.Batches, s.Ingested} {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+	}
+	if s.Merged == nil {
+		dst = append(dst, 0)
+	} else {
+		dst = appendSummary(append(dst, 1), s.Merged, f)
+	}
+	for _, sk := range s.ShardSketches {
+		dst = appendSketch(dst, sk, f)
+	}
+	return dst, nil
 }
 
-// readStreamRecord decodes and validates one stream record (the shared
-// body of KindManager tables and KindStream offload records), filling
-// ShardWires. idx labels decode errors in multi-record tables. Every
-// nested blob must carry the enclosing document's format f — a mixed
-// record would re-encode to different bytes, breaking canonicality.
-func readStreamRecord(r io.Reader, idx uint64, f Format) (StreamState, error) {
+// streamRecord consumes and validates one stream record, filling
+// ShardWires. Every nested blob must carry the enclosing document's format
+// f — a mixed record would re-encode to different bytes, breaking
+// canonicality. The caller labels c.err with the record's name.
+func (c *cursor) streamRecord(f format) StreamState {
 	var s StreamState
-	var err error
-	if s.Name, err = readString(r, maxNameLen); err != nil {
-		return s, fmt.Errorf("encoding: stream %d name: %w", idx, err)
-	}
-	var k, shards uint64
-	for _, p := range []*uint64{&k, &s.Universe, &shards} {
-		if *p, err = readU64(r); err != nil {
-			return s, fmt.Errorf("encoding: stream %q: %w", s.Name, err)
-		}
-	}
-	if k > 1<<30 {
-		return s, fmt.Errorf("encoding: stream %q: implausible k %d", s.Name, k)
-	}
-	if shards > maxShards {
-		return s, fmt.Errorf("encoding: stream %q: shard count %d exceeds %d", s.Name, shards, maxShards)
-	}
-	s.K, s.Shards = int(k), int(shards)
-	if s.Mechanism, err = readString(r, maxMechLen); err != nil {
-		return s, fmt.Errorf("encoding: stream %q mechanism: %w", s.Name, err)
-	}
+	s.Name = c.str(maxNameLen)
+	k, universe, shards := c.u64(), c.u64(), c.u64()
+	s.Mechanism = c.str(maxMechLen)
 	for _, p := range []*float64{&s.BudgetEps, &s.BudgetDelta, &s.SpentEps, &s.SpentDelta} {
-		bits, err := readU64(r)
-		if err != nil {
-			return s, fmt.Errorf("encoding: stream %q: %w", s.Name, err)
-		}
-		*p = math.Float64frombits(bits)
+		*p = math.Float64frombits(c.u64())
 	}
 	for _, p := range []*int64{&s.Releases, &s.Nodes, &s.Batches, &s.Ingested} {
-		v, err := readU64(r)
-		if err != nil {
-			return s, fmt.Errorf("encoding: stream %q: %w", s.Name, err)
-		}
+		v := c.u64()
 		if v > math.MaxInt64 {
-			return s, fmt.Errorf("encoding: stream %q: bookkeeping value %d overflows", s.Name, v)
+			c.fail("encoding: bookkeeping value %d overflows", v)
 		}
 		*p = int64(v)
 	}
-	var present [1]byte
-	if _, err := io.ReadFull(r, present[:]); err != nil {
-		return s, fmt.Errorf("encoding: stream %q: %w", s.Name, err)
+	present := c.take(1)
+	switch {
+	case c.err != nil:
+	case k > maxK:
+		c.fail("encoding: implausible k %d", k)
+	case shards > maxShards:
+		c.fail("encoding: shard count %d exceeds %d", shards, maxShards)
+	case shards > uint64(len(c.p)/headerWireLen):
+		c.fail("encoding: %d shards in %d bytes: %w", shards, len(c.p), io.ErrUnexpectedEOF)
+	case present[0] > 1:
+		c.fail("encoding: bad aggregate flag %d", present[0])
 	}
-	switch present[0] {
-	case 0:
-	case 1:
-		var sf Format
-		if s.Merged, sf, err = unmarshalSummary(r); err != nil {
-			return s, fmt.Errorf("encoding: stream %q aggregate: %w", s.Name, err)
+	if c.err != nil {
+		return s
+	}
+	s.K, s.Universe, s.Shards = int(k), universe, int(shards)
+	if present[0] == 1 {
+		var sf format
+		if s.Merged, sf = c.summary(); c.err == nil && sf != f {
+			c.fail("encoding: aggregate: nested format %d does not match record format %d", sf, f)
 		}
-		if sf != f {
-			return s, fmt.Errorf("encoding: stream %q aggregate: nested format %d does not match record format %d", s.Name, sf, f)
-		}
-	default:
-		return s, fmt.Errorf("encoding: stream %q: bad aggregate flag %d", s.Name, present[0])
 	}
 	s.ShardWires = make([]*SketchWire, s.Shards)
 	for j := range s.ShardWires {
-		wire, wf, err := unmarshalSketch(r)
-		if err != nil {
-			return s, fmt.Errorf("encoding: stream %q shard %d: %w", s.Name, j, err)
+		w, wf := c.sketch()
+		switch {
+		case c.err != nil:
+		case wf != f:
+			c.fail("encoding: shard %d: nested format %d does not match record format %d", j, wf, f)
+		case w.K != s.K || w.Universe != s.Universe:
+			c.fail("encoding: shard %d: (k=%d, d=%d) does not match stream (k=%d, d=%d)",
+				j, w.K, w.Universe, s.K, s.Universe)
 		}
-		if wf != f {
-			return s, fmt.Errorf("encoding: stream %q shard %d: nested format %d does not match record format %d", s.Name, j, wf, f)
+		if c.err != nil {
+			return s
 		}
-		if wire.K != s.K || wire.Universe != s.Universe {
-			return s, fmt.Errorf("encoding: stream %q shard %d: (k=%d, d=%d) does not match stream (k=%d, d=%d)",
-				s.Name, j, wire.K, wire.Universe, s.K, s.Universe)
-		}
-		s.ShardWires[j] = wire
+		s.ShardWires[j] = w
 	}
 	if err := s.validate(); err != nil {
-		return s, err
+		c.fail("%w", err)
 	}
-	return s, nil
+	return s
 }
 
-// expectNoTrailer errors if r has bytes left: the record must be the whole
-// document, so truncated-then-padded or foreign snapshots fail loudly.
-func expectNoTrailer(r io.Reader, what string) error {
-	var trail [1]byte
-	if n, _ := r.Read(trail[:]); n != 0 {
-		return fmt.Errorf("encoding: trailing bytes after %s", what)
-	}
-	return nil
-}
-
-// MarshalManager serializes a manager snapshot. Streams may arrive in any
+// appendManager appends a manager snapshot. Streams may arrive in any
 // order; they are written in ascending name order (the canonical record
 // order). Each stream's ShardSketches must hold exactly Shards sketches.
-func MarshalManager(w io.Writer, streams []StreamState) error {
+func appendManager(dst []byte, streams []StreamState) ([]byte, error) {
 	sorted := make([]*StreamState, len(streams))
 	for i := range streams {
 		sorted[i] = &streams[i]
@@ -326,137 +239,159 @@ func MarshalManager(w io.Writer, streams []StreamState) error {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i].Name == sorted[i-1].Name {
-			return fmt.Errorf("encoding: duplicate stream name %q", sorted[i].Name)
+			return dst, fmt.Errorf("encoding: duplicate stream name %q", sorted[i].Name)
 		}
 	}
-	if err := writeHeader(w, header{Kind: KindManager, Entries: uint64(len(sorted))}, FormatFixed); err != nil {
-		return err
-	}
+	out := appendHeader(dst, header{Kind: KindManager, Entries: uint64(len(sorted))}, formatFixed)
 	for _, s := range sorted {
-		if err := writeStreamRecord(w, s, FormatFixed); err != nil {
-			return err
+		var err error
+		if out, err = appendStreamRecord(out, s, formatFixed); err != nil {
+			return dst, err
 		}
-	}
-	return nil
-}
-
-// UnmarshalManager reads a manager snapshot back, validating every nested
-// structure (the summary and per-shard sketch decoders run their own
-// structural checks) plus the cross-record invariants: strictly ascending
-// stream names, per-stream k/universe agreement, finite budget values. The
-// returned records carry decoded ShardWires; ShardSketches is nil.
-func UnmarshalManager(r io.Reader) ([]StreamState, error) {
-	h, f, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if h.Kind != KindManager {
-		return nil, fmt.Errorf("encoding: expected manager snapshot, got kind %d", h.Kind)
-	}
-	// Manager snapshots stay on the fixed format: they are written and read
-	// in one pass on a trusted path, and keeping one format per kind keeps
-	// the canonical-bytes story simple. The compression win lives in the
-	// cold-tier KindStream records.
-	if f != FormatFixed {
-		return nil, fmt.Errorf("encoding: manager snapshot requires format %d, got %d", FormatFixed, f)
-	}
-	// The per-structure header fields are unused at the manager level and
-	// written as zero; enforce that on read so the encoding stays canonical
-	// (any accepted document re-encodes to the same bytes).
-	if h.K != 0 || h.Universe != 0 || h.N != 0 || h.Decrements != 0 {
-		return nil, fmt.Errorf("encoding: manager snapshot reserved header fields must be zero")
-	}
-	if h.Entries > maxStreams {
-		return nil, fmt.Errorf("encoding: %d streams exceed limit %d", h.Entries, maxStreams)
-	}
-	out := make([]StreamState, 0, h.Entries)
-	prev := ""
-	for i := uint64(0); i < h.Entries; i++ {
-		s, err := readStreamRecord(r, i, FormatFixed)
-		if err != nil {
-			return nil, err
-		}
-		if i > 0 && s.Name <= prev {
-			return nil, fmt.Errorf("encoding: stream names not strictly ascending at %q", s.Name)
-		}
-		prev = s.Name
-		out = append(out, s)
-	}
-	// The table must be the whole document: trailing bytes mean a foreign
-	// or corrupted snapshot.
-	if err := expectNoTrailer(r, "manager snapshot"); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
 
-// MarshalStream serializes one stream as a standalone offload record: a
-// KindStream header, the same stream record a KindManager table holds,
-// then the resident-counter trailer (AggCounters, IngestCounters) the
-// lifecycle tier captured at offload time. Like every raw-counter
-// snapshot, the record is as sensitive as the stream itself. The encoding
-// is canonical: equal stream states serialize to equal bytes.
-func MarshalStream(w io.Writer, s *StreamState) error {
-	if s.AggCounters < 0 || s.AggCounters > s.K || s.IngestCounters < 0 || s.IngestCounters > s.K {
-		return fmt.Errorf("encoding: stream %q: resident counter tallies (%d, %d) outside [0, k=%d]",
-			s.Name, s.AggCounters, s.IngestCounters, s.K)
-	}
-	f := s.Format
-	if f == 0 {
-		f = FormatFixed
-	}
-	if !f.valid() {
-		return fmt.Errorf("encoding: stream %q: invalid format %d", s.Name, f)
-	}
-	if err := writeHeader(w, header{Kind: KindStream, Entries: 1}, f); err != nil {
+// MarshalManager writes a manager snapshot to w in one Write (see
+// appendManager for the record order).
+func MarshalManager(w io.Writer, streams []StreamState) error {
+	p, err := appendManager(nil, streams)
+	if err != nil {
 		return err
 	}
-	if err := writeStreamRecord(w, s, f); err != nil {
-		return err
-	}
-	for _, v := range []uint64{uint64(s.AggCounters), uint64(s.IngestCounters)} {
-		if err := writeU64(w, v); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = w.Write(p)
+	return err
 }
 
-// UnmarshalStream reads a standalone stream offload record back,
-// validating the header, the nested structures, and the counter trailer,
-// and rejecting trailing bytes — the same fail-loudly discipline as
-// UnmarshalManager.
-func UnmarshalStream(r io.Reader) (*StreamState, error) {
-	h, f, err := readHeader(r)
+// decodeManager decodes a manager snapshot, validating every nested
+// structure (the summary and per-shard sketch decoders run their own
+// structural checks) plus the cross-record invariants: strictly ascending
+// stream names, per-stream k/universe agreement, finite budget values. The
+// returned records carry decoded ShardWires; ShardSketches is nil.
+func decodeManager(p []byte) ([]StreamState, error) {
+	c := cursor{p: p}
+	h, f := c.header()
+	switch {
+	case c.err != nil:
+	case h.Kind != KindManager:
+		c.fail("encoding: expected manager snapshot, got kind %d", h.Kind)
+	case f != formatFixed:
+		// One format per kind keeps the canonical-bytes story simple; the
+		// compression win lives in the cold-tier KindStream records.
+		c.fail("encoding: manager snapshot requires format %d, got %d", formatFixed, f)
+	case h.K != 0 || h.Universe != 0 || h.N != 0 || h.Decrements != 0:
+		// The per-structure header fields are unused at the manager level
+		// and written as zero; enforcing that on read keeps the encoding
+		// canonical (any accepted document re-encodes to the same bytes).
+		c.fail("encoding: manager snapshot reserved header fields must be zero")
+	case h.Entries > maxStreams:
+		c.fail("encoding: %d streams exceed limit %d", h.Entries, maxStreams)
+	case h.Entries > uint64(len(c.p)/minStreamRecordLen):
+		c.fail("encoding: %d streams in %d bytes: %w", h.Entries, len(c.p), io.ErrUnexpectedEOF)
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	out := make([]StreamState, 0, h.Entries)
+	for i := uint64(0); i < h.Entries; i++ {
+		s := c.streamRecord(formatFixed)
+		if c.err != nil {
+			return nil, fmt.Errorf("encoding: stream %d (%q): %w", i, s.Name, c.err)
+		}
+		if i > 0 && s.Name <= out[i-1].Name {
+			return nil, fmt.Errorf("encoding: stream names not strictly ascending at %q", s.Name)
+		}
+		out = append(out, s)
+	}
+	// The table must be the whole document: trailing bytes mean a foreign
+	// or corrupted snapshot.
+	if len(c.p) != 0 {
+		return nil, fmt.Errorf("encoding: trailing bytes after manager snapshot")
+	}
+	return out, nil
+}
+
+// UnmarshalManager reads r to EOF and decodes it as one manager snapshot
+// (see decodeManager).
+func UnmarshalManager(r io.Reader) ([]StreamState, error) {
+	p, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if h.Kind != KindStream {
-		return nil, fmt.Errorf("encoding: expected stream offload record, got kind %d", h.Kind)
+	return decodeManager(p)
+}
+
+// AppendStream appends one stream as a standalone offload record: a
+// KindStream header, the same stream record a KindManager table holds,
+// then the resident-counter trailer (AggCounters, IngestCounters) the
+// lifecycle tier captured at offload time. Offload records are always
+// written in the delta-varint entry format. Like every raw-counter
+// snapshot, the record is as sensitive as the stream itself. The encoding
+// is canonical: equal stream states serialize to equal bytes. On error dst
+// is returned as it came.
+func AppendStream(dst []byte, s *StreamState) ([]byte, error) {
+	return appendStream(dst, s, formatDelta)
+}
+
+func appendStream(dst []byte, s *StreamState, f format) ([]byte, error) {
+	if s.AggCounters < 0 || s.AggCounters > s.K || s.IngestCounters < 0 || s.IngestCounters > s.K {
+		return dst, fmt.Errorf("encoding: stream %q: resident counter tallies (%d, %d) outside [0, k=%d]",
+			s.Name, s.AggCounters, s.IngestCounters, s.K)
 	}
-	if h.K != 0 || h.Universe != 0 || h.N != 0 || h.Decrements != 0 {
-		return nil, fmt.Errorf("encoding: stream record reserved header fields must be zero")
-	}
-	if h.Entries != 1 {
-		return nil, fmt.Errorf("encoding: stream offload record must hold exactly 1 stream, got %d", h.Entries)
-	}
-	s, err := readStreamRecord(r, 0, f)
+	out := appendHeader(dst, header{Kind: KindStream, Entries: 1}, f)
+	out, err := appendStreamRecord(out, s, f)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	s.Format = f
-	for _, p := range []*int{&s.AggCounters, &s.IngestCounters} {
-		v, err := readU64(r)
-		if err != nil {
-			return nil, fmt.Errorf("encoding: stream %q counter trailer: %w", s.Name, err)
-		}
-		if v > uint64(s.K) {
-			return nil, fmt.Errorf("encoding: stream %q: resident counter tally %d exceeds k=%d", s.Name, v, s.K)
-		}
-		*p = int(v)
+	out = binary.LittleEndian.AppendUint64(out, uint64(s.AggCounters))
+	return binary.LittleEndian.AppendUint64(out, uint64(s.IngestCounters)), nil
+}
+
+// MarshalStream writes AppendStream's bytes to w in one Write.
+func MarshalStream(w io.Writer, s *StreamState) error {
+	p, err := AppendStream(nil, s)
+	if err != nil {
+		return err
 	}
-	if err := expectNoTrailer(r, "stream offload record"); err != nil {
-		return nil, err
+	_, err = w.Write(p)
+	return err
+}
+
+// DecodeStream decodes a standalone stream offload record in either entry
+// format, validating the header, the nested structures, and the counter
+// trailer, and rejecting trailing bytes — the same fail-loudly discipline
+// as a manager snapshot.
+func DecodeStream(p []byte) (*StreamState, error) {
+	c := cursor{p: p}
+	h, f := c.header()
+	switch {
+	case c.err != nil:
+	case h.Kind != KindStream:
+		c.fail("encoding: expected stream offload record, got kind %d", h.Kind)
+	case h.K != 0 || h.Universe != 0 || h.N != 0 || h.Decrements != 0:
+		c.fail("encoding: stream record reserved header fields must be zero")
+	case h.Entries != 1:
+		c.fail("encoding: stream offload record must hold exactly 1 stream, got %d", h.Entries)
 	}
+	s := c.streamRecord(f)
+	agg, ingest := c.u64(), c.u64()
+	switch {
+	case c.err != nil:
+		return nil, fmt.Errorf("encoding: stream %q: %w", s.Name, c.err)
+	case agg > uint64(s.K) || ingest > uint64(s.K):
+		return nil, fmt.Errorf("encoding: stream %q: resident counter tallies (%d, %d) exceed k=%d", s.Name, agg, ingest, s.K)
+	case len(c.p) != 0:
+		return nil, fmt.Errorf("encoding: trailing bytes after stream offload record")
+	}
+	s.AggCounters, s.IngestCounters = int(agg), int(ingest)
 	return &s, nil
+}
+
+// UnmarshalStream reads r to EOF and decodes it with DecodeStream.
+func UnmarshalStream(r io.Reader) (*StreamState, error) {
+	p, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeStream(p)
 }

@@ -11,7 +11,7 @@ import (
 // FuzzUnmarshalManager feeds arbitrary bytes — including mutations of a
 // genuine snapshot seeded into the corpus — to the manager-snapshot
 // decoder. The decoder must never panic, and any accepted document whose
-// shard states also pass the deep mg.Restore validation (the full
+// shard states also pass the deep mg.RestoreColumns validation (the full
 // dpmg.RestoreManager acceptance bar) must re-encode to exactly the bytes
 // it decoded from: canonical form means decode∘encode is the identity.
 func FuzzUnmarshalManager(f *testing.F) {
@@ -32,34 +32,29 @@ func FuzzUnmarshalManager(f *testing.F) {
 	f.Add([]byte("DPMG"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		states, err := UnmarshalManager(bytes.NewReader(data))
+		states, err := decodeManager(data)
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
 		// Accepted documents round-trip canonically: re-marshaling from the
 		// decoded wires must reproduce the input bytes exactly.
 		remarshal := make([]StreamState, len(states))
 		for i, s := range states {
-			remarshal[i] = s
-			remarshal[i].ShardSketches = make([]*mg.Sketch, len(s.ShardWires))
-			for j, w := range s.ShardWires {
-				rsk, err := mg.Restore(w.K, w.Universe, w.N, w.Decrements, w.Counts())
-				if err != nil {
-					// Structurally valid wire whose Algorithm 1 bookkeeping
-					// fails the deep Fact 7 validation: the encoding layer
-					// accepts it, dpmg.RestoreManager rejects it via this
-					// same mg.Restore error. Nothing to round-trip.
-					return
-				}
-				remarshal[i].ShardSketches[j] = rsk
+			var ok bool
+			if remarshal[i], ok = remarshalable(s); !ok {
+				// Structurally valid wire whose Algorithm 1 bookkeeping
+				// fails the deep Fact 7 validation: the encoding layer
+				// accepts it, dpmg.RestoreManager rejects it via the same
+				// mg.RestoreColumns error. Nothing to round-trip.
+				return
 			}
 		}
-		if err := MarshalManager(&out, remarshal); err != nil {
+		out, err := appendManager(nil, remarshal)
+		if err != nil {
 			t.Fatalf("accepted snapshot does not re-marshal: %v", err)
 		}
-		if !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("accepted snapshot is not canonical:\n in %x\nout %x", data, out.Bytes())
+		if !bytes.Equal(out, data) {
+			t.Fatalf("accepted snapshot is not canonical:\n in %x\nout %x", data, out)
 		}
 	})
 }

@@ -74,7 +74,7 @@ func TestManagerRoundTrip(t *testing.T) {
 	}
 	// Shard wires must reconstruct behaviorally identical sketches.
 	for i, wire := range a.ShardWires {
-		restored, err := mg.Restore(wire.K, wire.Universe, wire.N, wire.Decrements, wire.Counts())
+		restored, err := restoreWire(wire)
 		if err != nil {
 			t.Fatalf("shard %d restore: %v", i, err)
 		}

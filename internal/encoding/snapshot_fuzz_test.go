@@ -47,7 +47,7 @@ func FuzzSketchSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := mg.Restore(wire.K, wire.Universe, wire.N, wire.Decrements, wire.Counts())
+		restored, err := restoreWire(wire)
 		if err != nil {
 			t.Fatalf("genuine snapshot rejected: %v", err)
 		}

@@ -10,7 +10,7 @@ import (
 
 // FuzzUnmarshalStream is FuzzUnmarshalManager's sibling for standalone
 // offload records: the decoder must never panic, and any accepted record
-// whose shard states also pass the deep mg.Restore validation must
+// whose shard states also pass the deep mg.RestoreColumns validation must
 // re-encode to exactly the bytes it decoded from.
 func FuzzUnmarshalStream(f *testing.F) {
 	sk := mg.New(3, 9)
@@ -32,28 +32,23 @@ func FuzzUnmarshalStream(f *testing.F) {
 	f.Add([]byte("DPMG"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := UnmarshalStream(bytes.NewReader(data))
+		s, err := DecodeStream(data)
 		if err != nil {
 			return
 		}
-		remarshal := *s
-		remarshal.ShardSketches = make([]*mg.Sketch, len(s.ShardWires))
-		for j, w := range s.ShardWires {
-			rsk, err := mg.Restore(w.K, w.Universe, w.N, w.Decrements, w.Counts())
-			if err != nil {
-				// Structurally valid wire whose Algorithm 1 bookkeeping fails
-				// the deep validation; dpmg's fault-in rejects it the same
-				// way. Nothing to round-trip.
-				return
-			}
-			remarshal.ShardSketches[j] = rsk
+		remarshal, ok := remarshalable(*s)
+		if !ok {
+			// Structurally valid wire whose Algorithm 1 bookkeeping fails
+			// the deep validation; dpmg's fault-in rejects it the same
+			// way. Nothing to round-trip.
+			return
 		}
-		var out bytes.Buffer
-		if err := MarshalStream(&out, &remarshal); err != nil {
+		out, err := appendStream(nil, &remarshal, format(data[4]))
+		if err != nil {
 			t.Fatalf("accepted record does not re-marshal: %v", err)
 		}
-		if !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("decode∘encode is not the identity:\n in  %x\n out %x", data, out.Bytes())
+		if !bytes.Equal(out, data) {
+			t.Fatalf("decode∘encode is not the identity:\n in  %x\n out %x", data, out)
 		}
 	})
 }

@@ -3,8 +3,6 @@ package encoding
 import (
 	"bytes"
 	"testing"
-
-	"dpmg/internal/mg"
 )
 
 // streamFixture is one stream state with data in both tiers plus the
@@ -41,7 +39,7 @@ func TestStreamRecordRoundTrip(t *testing.T) {
 	}
 	// The decoded wire reconstructs a behaviorally identical sketch.
 	w := got.ShardWires[0]
-	restored, err := mg.Restore(w.K, w.Universe, w.N, w.Decrements, w.Counts())
+	restored, err := restoreWire(w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,43 +145,14 @@ func BoundedThreshold(eps, delta float64, k int) float64 {
 	return 1 + 2*BoundedScale(eps, k)*math.Log(float64(k+1)/(2*delta))
 }
 
-// ReleaseBounded privatizes one already-merged counter table with the
-// Corollary 18 Laplace release: Laplace(k/eps) per counter, threshold
-// BoundedThreshold, keys visited in ascending order (input-independent, the
-// Section 5.2 requirement). Inputs must be pre-validated; both
-// TrustedAggregateBounded and the unified release front-end funnel through
-// the same flat loop so their noise draws are identical.
-func ReleaseBounded(counts map[stream.Item]int64, k int, eps, delta float64, src noise.Source) hist.Estimate {
-	keys := make([]stream.Item, 0, len(counts))
-	for x := range counts {
-		keys = append(keys, x)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return ReleaseBoundedSorted(counts, keys, k, eps, delta, src)
-}
-
-// ReleaseBoundedSorted is ReleaseBounded visiting the counters in the
-// caller-supplied key order, for callers that already hold the ascending
-// key set — keys must cover every key of counts and be input-independent.
-func ReleaseBoundedSorted(counts map[stream.Item]int64, keys []stream.Item, k int, eps, delta float64, src noise.Source) hist.Estimate {
-	scale := BoundedScale(eps, k)
-	thresh := BoundedThreshold(eps, delta, k)
-	out := make(hist.Estimate)
-	for _, x := range keys {
-		if c := counts[x]; c > 0 {
-			if v := float64(c) + noise.Laplace(src, scale); v >= thresh {
-				out[x] = v
-			}
-		}
-	}
-	return out
-}
-
-// ReleaseBoundedColumns is the Corollary 18 release over flat parallel
-// counter columns: keys must be ascending (the Section 5.2 order) and the
-// loop draws one Laplace(k/eps) sample per strictly positive counter, so
-// its draw sequence is identical to ReleaseBoundedSorted over the same
-// table. No map is built or consulted.
+// ReleaseBoundedColumns privatizes one already-merged counter table, held
+// as flat parallel columns, with the Corollary 18 Laplace release:
+// Laplace(k/eps) per strictly positive counter, threshold BoundedThreshold.
+// Keys must be ascending — the input-independent visiting order Section 5.2
+// requires, and what fixes the draw sequence under a seed. Inputs must be
+// pre-validated; TrustedAggregateBounded and the unified release front-end
+// both funnel through this loop, so their noise draws are identical. No
+// map is built or consulted.
 func ReleaseBoundedColumns(keys []stream.Item, counts []int64, k int, eps, delta float64, src noise.Source) hist.Estimate {
 	scale := BoundedScale(eps, k)
 	thresh := BoundedThreshold(eps, delta, k)

@@ -2,40 +2,22 @@ package mg
 
 import (
 	"fmt"
-	"sort"
 
 	"dpmg/internal/stream"
 )
 
-// Restore rebuilds a paper-variant sketch from serialized Algorithm 1 state
-// (the encoding.KindCounters wire form): the full k-entry counter table plus
-// the n/decrements bookkeeping. The restored sketch is behaviorally
-// identical to the one that was snapshotted — same estimates, same release
-// (the release reads only the counter table and the ascending key order),
-// and the same response to any continuation of the stream. The last point
-// holds because every future step of Algorithm 1 depends only on the current
-// counter state: the eviction order is "smallest zero-count key first",
-// which Restore re-derives by seeding the zero list with the current
-// zero-count keys in ascending key order.
-func Restore(k int, d uint64, n, decs int64, counts map[stream.Item]int64) (*Sketch, error) {
-	keys := make([]stream.Item, 0, len(counts))
-	for x := range counts {
-		keys = append(keys, x)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	vals := make([]int64, len(keys))
-	for i, x := range keys {
-		vals[i] = counts[x]
-	}
-	return RestoreColumns(k, d, n, decs, keys, vals)
-}
-
-// RestoreColumns is Restore over flat parallel columns in strictly
-// ascending key order — the layout the snapshot wire format already
-// carries — so the fault-in path can rebuild a sketch without
-// materializing an intermediate map (the map dominated the fault-in
-// allocation profile). Validation is identical to Restore's, plus the
-// ascending-order requirement the map form established by sorting.
+// RestoreColumns rebuilds a paper-variant sketch from serialized Algorithm 1
+// state (the encoding.KindCounters wire form): the full k-entry counter
+// table, as flat parallel columns in strictly ascending key order — the
+// layout the wire format carries — plus the n/decrements bookkeeping. The
+// restored sketch is behaviorally identical to the one that was
+// snapshotted — same estimates, same release (the release reads only the
+// counter table and the ascending key order), and the same response to any
+// continuation of the stream. The last point holds because every future
+// step of Algorithm 1 depends only on the current counter state: the
+// eviction order is "smallest zero-count key first", which RestoreColumns
+// re-derives by seeding the zero list with the current zero-count keys in
+// ascending key order.
 func RestoreColumns(k int, d uint64, n, decs int64, keys []stream.Item, vals []int64) (*Sketch, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("mg: restore: k must be positive, got %d", k)

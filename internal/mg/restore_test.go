@@ -1,10 +1,26 @@
 package mg
 
 import (
+	"slices"
 	"testing"
 
 	"dpmg/internal/stream"
 )
+
+// restoreMap is RestoreColumns over a counter table held as a map, the
+// form the validation cases are easiest to write in.
+func restoreMap(k int, d uint64, n, decs int64, counts map[stream.Item]int64) (*Sketch, error) {
+	keys := make([]stream.Item, 0, len(counts))
+	for x := range counts {
+		keys = append(keys, x)
+	}
+	slices.Sort(keys)
+	vals := make([]int64, len(keys))
+	for i, x := range keys {
+		vals[i] = counts[x]
+	}
+	return RestoreColumns(k, d, n, decs, keys, vals)
+}
 
 func TestRestoreRoundTripBehavior(t *testing.T) {
 	sk := New(4, 50)
@@ -12,7 +28,8 @@ func TestRestoreRoundTripBehavior(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		sk.Update(stream.Item(uint64(i*i)%50 + 1))
 	}
-	restored, err := Restore(sk.K(), sk.Universe(), sk.N(), sk.Decrements(), sk.Counters())
+	keys, vals := sk.AppendAll(nil, nil)
+	restored, err := RestoreColumns(sk.K(), sk.Universe(), sk.N(), sk.Decrements(), keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,32 +69,32 @@ func TestRestoreValidation(t *testing.T) {
 		label string
 		run   func() error
 	}{
-		{"zero k", func() error { _, err := Restore(0, 10, 1, 0, counts); return err }},
-		{"zero universe", func() error { _, err := Restore(3, 0, 1, 0, counts); return err }},
+		{"zero k", func() error { _, err := restoreMap(0, 10, 1, 0, counts); return err }},
+		{"zero universe", func() error { _, err := restoreMap(3, 0, 1, 0, counts); return err }},
 		{"wrong entry count", func() error {
-			_, err := Restore(4, 10, 1, 0, counts)
+			_, err := restoreMap(4, 10, 1, 0, counts)
 			return err
 		}},
-		{"negative n", func() error { _, err := Restore(3, 10, -1, 0, counts); return err }},
-		{"impossible decrements", func() error { _, err := Restore(3, 10, 1, 1, counts); return err }},
+		{"negative n", func() error { _, err := restoreMap(3, 10, -1, 0, counts); return err }},
+		{"impossible decrements", func() error { _, err := restoreMap(3, 10, 1, 1, counts); return err }},
 		{"key out of range", func() error {
 			bad := map[stream.Item]int64{1: 1, 2: 0, 99: 0}
-			_, err := Restore(3, 10, 1, 0, bad)
+			_, err := restoreMap(3, 10, 1, 0, bad)
 			return err
 		}},
 		{"negative counter", func() error {
 			bad := map[stream.Item]int64{1: -1, 11: 0, 12: 0}
-			_, err := Restore(3, 10, 1, 0, bad)
+			_, err := restoreMap(3, 10, 1, 0, bad)
 			return err
 		}},
 		{"incremented dummy", func() error {
 			bad := map[stream.Item]int64{1: 1, 11: 3, 12: 0}
-			_, err := Restore(3, 10, 4, 0, bad)
+			_, err := restoreMap(3, 10, 4, 0, bad)
 			return err
 		}},
 		{"counter sum exceeds n", func() error {
 			bad := map[stream.Item]int64{1: 5, 11: 0, 12: 0}
-			_, err := Restore(3, 10, 2, 0, bad)
+			_, err := restoreMap(3, 10, 2, 0, bad)
 			return err
 		}},
 		{"decrements overflow int64", func() error {
@@ -86,12 +103,12 @@ func TestRestoreValidation(t *testing.T) {
 			for i := 0; i < 255; i++ {
 				bad[stream.Item(i+1)] = 0
 			}
-			_, err := Restore(255, 1000, 0, 1<<60, bad)
+			_, err := restoreMap(255, 1000, 0, 1<<60, bad)
 			return err
 		}},
 		{"counter sum overflow int64", func() error {
 			bad := map[stream.Item]int64{1: 1 << 62, 2: 1 << 62, 3: 1 << 62}
-			_, err := Restore(3, 10, 100, 0, bad)
+			_, err := restoreMap(3, 10, 100, 0, bad)
 			return err
 		}},
 	}
@@ -100,27 +117,23 @@ func TestRestoreValidation(t *testing.T) {
 			t.Errorf("%s: accepted", c.label)
 		}
 	}
-	if _, err := Restore(good.K(), good.Universe(), good.N(), good.Decrements(), counts); err != nil {
+	if _, err := restoreMap(good.K(), good.Universe(), good.N(), good.Decrements(), counts); err != nil {
 		t.Errorf("genuine state rejected: %v", err)
 	}
 }
 
-// TestRestoreColumnsMatchesRestore pins the flat fault-in entry point
-// against the map form: identical resulting sketches on genuine state, and
-// the one extra obligation the map form established by sorting — strictly
-// ascending keys — is enforced rather than assumed.
+// TestRestoreColumnsMatchesRestore pins the columns a live sketch exports
+// (AppendAll, what the codec serializes) against the counter table taken
+// as a map and sorted: identical resulting sketches on genuine state, and
+// the obligation sorting would establish — strictly ascending keys — is
+// enforced rather than assumed.
 func TestRestoreColumnsMatchesRestore(t *testing.T) {
 	sk := New(8, 100)
 	for i := 0; i < 5000; i++ {
 		sk.Update(stream.Item(uint64(i*i)%100 + 1))
 	}
-	keys := sk.SortedKeys()
-	counts := sk.Counters()
-	vals := make([]int64, len(keys))
-	for i, x := range keys {
-		vals[i] = counts[x]
-	}
-	fromMap, err := Restore(sk.K(), sk.Universe(), sk.N(), sk.Decrements(), counts)
+	keys, vals := sk.AppendAll(nil, nil)
+	fromMap, err := restoreMap(sk.K(), sk.Universe(), sk.N(), sk.Decrements(), sk.Counters())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 package dpmg
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"dpmg/internal/encoding"
@@ -102,7 +102,8 @@ var errStreamOffloaded = errors.New("dpmg: stream is offloaded")
 // lock.
 type OffloadStore interface {
 	// Save durably persists data as the record for name, replacing any
-	// previous record atomically.
+	// previous record atomically. It must not retain data after it
+	// returns: the manager reuses the buffer for the next record.
 	Save(name string, data []byte) error
 	// Load returns the record for name, or an error wrapping fs.ErrNotExist
 	// when there is none.
@@ -373,7 +374,7 @@ func (m *Manager) RecoverOffloaded() (int, error) {
 		if err != nil {
 			return recovered, fmt.Errorf("dpmg: recover %q: %w", name, err)
 		}
-		w, err := encoding.UnmarshalStream(bytes.NewReader(data))
+		w, err := encoding.DecodeStream(data)
 		if err != nil {
 			return recovered, fmt.Errorf("dpmg: recover %q: %w", name, err)
 		}
@@ -439,6 +440,14 @@ func (s *Stream) acquire() error {
 	}
 }
 
+// recordBufPool recycles the buffers offload records are encoded into;
+// OffloadStore.Save does not keep its data argument. A buffer grown past
+// maxPooledRecordBytes (a routine k=256 record is a few KB) is dropped
+// rather than pooled, so one huge tenant cannot pin its record's size per P.
+var recordBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledRecordBytes = 1 << 20
+
 // offloadLocked writes the stream's full durable state to store and drops
 // the in-memory counter structures, leaving the stub. The lifecycle write
 // lock must be held. Offloading an already-offloaded stream is a no-op
@@ -467,16 +476,16 @@ func (s *Stream) offloadLocked(store OffloadStore) error {
 		ingest = sum.inner.Len()
 	}
 	state.AggCounters, state.IngestCounters = agg, ingest
-	// Cold-tier records use the delta-varint entry format: the keys are
-	// already strictly ascending, so first differences shrink the record
-	// several-fold. Fault-in reads either format, so records written by
-	// older builds stay loadable.
-	state.Format = encoding.FormatDelta
-	var buf bytes.Buffer
-	if err := encoding.MarshalStream(&buf, &state); err != nil {
+	bufp := recordBufPool.Get().(*[]byte)
+	defer func() {
+		if cap(*bufp) <= maxPooledRecordBytes {
+			recordBufPool.Put(bufp)
+		}
+	}()
+	if *bufp, err = encoding.AppendStream((*bufp)[:0], &state); err != nil {
 		return err
 	}
-	if err := store.Save(s.name, buf.Bytes()); err != nil {
+	if err := store.Save(s.name, *bufp); err != nil {
 		return err
 	}
 	s.offAgg, s.offIngest = agg, ingest
@@ -502,7 +511,7 @@ func (s *Stream) faultInLocked() error {
 	if err != nil {
 		return fmt.Errorf("%w: %q: %w", ErrFaultIn, s.name, err)
 	}
-	w, err := encoding.UnmarshalStream(bytes.NewReader(data))
+	w, err := encoding.DecodeStream(data)
 	if err != nil {
 		return fmt.Errorf("%w: %q: %w", ErrFaultIn, s.name, err)
 	}

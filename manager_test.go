@@ -311,6 +311,47 @@ func equalHistograms(a, b Histogram) bool {
 // resumes every stream with identical stats, byte-identical seeded
 // releases, exactly the remaining budget, and the same response to stream
 // continuation.
+// countingWriter counts Write calls.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestManagerSnapshotSingleWrite: the server hands Snapshot a raw *os.File,
+// so every Write is a syscall. The snapshot used to go out one header field
+// and one 16-byte counter at a time (8 584 writes for 8 streams × 4 shards
+// × k=256); it must be exactly one.
+func TestManagerSnapshotSingleWrite(t *testing.T) {
+	m, err := NewManager(StreamConfig{K: 256, Universe: 1 << 16, Shards: 4, Budget: Budget{Eps: 4, Delta: 1e-4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		st, _, err := m.CreateStream(fmt.Sprintf("s%d", i), StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.UpdateBatch(workload.Zipf(4096, 1<<16, 1.05, uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var w countingWriter
+	if err := m.Snapshot(&w); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 {
+		t.Errorf("Snapshot of %d bytes issued %d Write calls, want 1", w.Len(), w.writes)
+	}
+	if _, err := RestoreManager(&w.Buffer, StreamConfig{K: 256, Universe: 1 << 16, Shards: 4, Budget: Budget{Eps: 4, Delta: 1e-4}}); err != nil {
+		t.Fatalf("single-write snapshot does not restore: %v", err)
+	}
+}
+
 func TestManagerSnapshotRestore(t *testing.T) {
 	m := testManager(t)
 	a, _, err := m.CreateStream("alpha", StreamConfig{Mechanism: MechanismLaplace})

@@ -302,10 +302,8 @@ func (laplaceMechanism) Release(view *ReleaseView, cal *Calibration, seed uint64
 	src := noise.NewSource(seed)
 	switch {
 	case view.Sens.Class == SensitivityMerged:
-		if view.Vals != nil {
-			return Histogram(merge.ReleaseBoundedColumns(view.Keys, view.Vals, view.Sens.K, p.Eps, p.Delta, src))
-		}
-		return Histogram(merge.ReleaseBoundedSorted(view.counts, view.Keys, view.Sens.K, p.Eps, p.Delta, src))
+		// Every merged-class view is flat (Keys with parallel Vals).
+		return Histogram(merge.ReleaseBoundedColumns(view.Keys, view.Vals, view.Sens.K, p.Eps, p.Delta, src))
 	case view.Sens.Standard:
 		return mustEstimate(core.ReleaseStandard(viewStd{view}, p, src))
 	default:

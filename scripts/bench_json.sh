@@ -35,8 +35,10 @@ run . 'BenchmarkEstimateUnderIngest'
 run . 'BenchmarkMergeSummaries$|BenchmarkMergeSummariesOneShot$|BenchmarkShardedRelease$|BenchmarkRelease$'
 run ./internal/merge 'BenchmarkMergeAllWide$|BenchmarkReleaseBounded$'
 # Lifecycle tier: the offloaded-tenant cold start (delta record decode +
-# canonical sketch reconstruction) and the cold-tier record footprint
-# (record_bytes: fixed vs delta entry format of one offload record).
+# canonical sketch reconstruction) and the cold-tier record encode with its
+# footprint (record_bytes of one delta-varint offload record). Both
+# benchmarks also fail on their allocation ceilings (evict + fault-in
+# cycle; record encode into a warmed buffer).
 run . 'BenchmarkFaultIn$'
 run ./internal/encoding 'BenchmarkOffloadRecord'
 # Server tier: HTTP batch ingest and streamed release, plus the
@@ -69,7 +71,7 @@ run ./internal/cluster 'BenchmarkClusterFanIn' -cpu=1,4,8
 for required in BenchmarkServerStreamIngest BenchmarkServerHTTPIngestE2E BenchmarkServerBatchIngest \
                 BenchmarkClusterFanIn/single BenchmarkClusterFanIn/parallel BenchmarkClusterFanIn/serial \
                 BenchmarkEstimateUnderIngest/published BenchmarkEstimateUnderIngest/locked \
-                BenchmarkFaultIn BenchmarkOffloadRecord/fixed BenchmarkOffloadRecord/delta \
+                BenchmarkFaultIn BenchmarkOffloadRecord/delta \
                 BenchmarkSketchUpdateServing BenchmarkZeroOrder/n=16 BenchmarkZeroOrder/n=64 \
                 BenchmarkZeroOrder/n=205 BenchmarkZeroOrder/n=256; do
   if ! grep -q "^${required}" "$TMP"; then
