@@ -153,11 +153,25 @@ func BenchmarkRelease(b *testing.B) {
 	p := Params{Eps: 1, Delta: 1e-6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sk.Release(p, uint64(i)); err != nil {
+		if _, err := Release(sk, p, WithSeed(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Release(sk, p, WithSeed(1)); err != nil {
+			b.Fatal(err)
+		}
+	})
+	if allocs > maxReleaseAllocs {
+		b.Fatalf("release allocates %.0f times per op, want <= %d", allocs, maxReleaseAllocs)
+	}
 }
+
+// maxReleaseAllocs is the measured allocation count of one seeded laplace
+// release of a k=256 sketch: the flat view's two columns, the calibration,
+// and the released histogram's map growth.
+const maxReleaseAllocs = 23
 
 func BenchmarkUserSketchAddUser(b *testing.B) {
 	sets := workload.UserSets(1<<14, 1<<14, 8, 1.05, 3)

@@ -38,23 +38,6 @@ func NewAccountant(b Budget) (*Accountant, error) {
 	return &Accountant{inner: inner}, nil
 }
 
-// Release releases a single-stream sketch after atomically charging
-// (p.Eps, p.Delta) against the budget; nothing is released (or charged) if
-// calibration fails or the budget cannot cover it.
-//
-// Deprecated: use Release(sk, p, WithSeed(seed), WithAccountant(a)), which
-// meters any Releasable, not just *Sketch.
-func (a *Accountant) Release(sk *Sketch, p Params, seed uint64) (Histogram, error) {
-	return Release(sk, p, WithMechanism(MechanismLaplace), WithSeed(seed), WithAccountant(a))
-}
-
-// ReleaseUser is Release for a UserSketch.
-//
-// Deprecated: use Release(sk, p, WithSeed(seed), WithAccountant(a)).
-func (a *Accountant) ReleaseUser(sk *UserSketch, p Params, seed uint64) (Histogram, error) {
-	return Release(sk, p, WithMechanism(MechanismGaussian), WithSeed(seed), WithAccountant(a))
-}
-
 // Remaining returns the unspent budget.
 func (a *Accountant) Remaining() Budget {
 	r := a.inner.Remaining()

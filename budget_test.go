@@ -16,13 +16,13 @@ func TestAccountantMetersReleases(t *testing.T) {
 		sk.Update(x)
 	}
 	p := Params{Eps: 1, Delta: 1e-6}
-	if _, err := acct.Release(sk, p, 1); err != nil {
+	if _, err := Release(sk, p, WithSeed(1), WithAccountant(acct)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := acct.Release(sk, p, 2); err != nil {
+	if _, err := Release(sk, p, WithSeed(2), WithAccountant(acct)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := acct.Release(sk, p, 3); err == nil {
+	if _, err := Release(sk, p, WithSeed(3), WithAccountant(acct)); err == nil {
 		t.Fatal("third release exceeded budget but was admitted")
 	}
 	if acct.Releases() != 2 {
@@ -45,10 +45,10 @@ func TestAccountantUserSketch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := acct.ReleaseUser(us, Params{Eps: 1, Delta: 1e-6}, 1); err != nil {
+	if _, err := Release(us, Params{Eps: 1, Delta: 1e-6}, WithSeed(1), WithAccountant(acct)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := acct.ReleaseUser(us, Params{Eps: 0.1, Delta: 1e-6}, 2); err == nil {
+	if _, err := Release(us, Params{Eps: 0.1, Delta: 1e-6}, WithSeed(2), WithAccountant(acct)); err == nil {
 		t.Fatal("over-budget user release admitted")
 	}
 }
@@ -68,7 +68,7 @@ func TestAccountantFailedReleaseNotCharged(t *testing.T) {
 	// Invalid params: Spend would admit (0.5, -) — but Spend validates the
 	// charge itself; a bad delta fails in Release. Ensure the charge shape:
 	// charging happens first, so use a budget-breaking charge instead.
-	if _, err := acct.Release(sk, Params{Eps: 5, Delta: 1e-6}, 1); err == nil {
+	if _, err := Release(sk, Params{Eps: 5, Delta: 1e-6}, WithSeed(1), WithAccountant(acct)); err == nil {
 		t.Fatal("over-budget charge admitted")
 	}
 	if acct.Releases() != 0 {
@@ -86,7 +86,7 @@ func TestAccountantValidatesBeforeCharging(t *testing.T) {
 		t.Fatal(err)
 	}
 	sk := NewSketch(4, 10)
-	if _, err := acct.Release(sk, Params{Eps: 0.5, Delta: 0}, 1); err == nil {
+	if _, err := Release(sk, Params{Eps: 0.5, Delta: 0}, WithSeed(1), WithAccountant(acct)); err == nil {
 		t.Fatal("invalid delta accepted")
 	}
 	if rem := acct.Remaining(); rem.Eps != 1 {

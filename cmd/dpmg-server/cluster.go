@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"dpmg"
 	"dpmg/internal/cluster"
+	"dpmg/internal/durable"
 )
 
 // Distributed aggregation tier (-role=edge / -role=root).
@@ -207,33 +209,12 @@ func loadClusterSeqs(root *cluster.Root, dir string) error {
 }
 
 // writeClusterSeqs persists a captured dedup table atomically and durably,
-// with the same temp/fsync/rename discipline as the manager snapshot.
+// like the manager snapshot.
 func writeClusterSeqs(dir string, table []byte) error {
-	f, err := os.CreateTemp(dir, seqsFileName+".tmp-*")
-	if err != nil {
+	return durable.WriteFile(dir, seqsFileName, func(w io.Writer) error {
+		_, err := w.Write(table)
 		return err
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(table); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, seqsFileName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+	})
 }
 
 // appendClusterMetrics emits the aggregation-tier /metrics rows for the

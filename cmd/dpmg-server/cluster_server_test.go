@@ -65,7 +65,7 @@ func (l *serverFoldLog) twin(t *testing.T) *dpmg.Manager {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.IngestSummary(sum); err != nil {
+		if err := st.FoldSummary(sum); err != nil {
 			t.Fatal(err)
 		}
 	}

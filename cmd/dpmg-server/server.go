@@ -18,6 +18,7 @@ import (
 
 	"dpmg"
 	"dpmg/internal/cluster"
+	"dpmg/internal/durable"
 	"dpmg/internal/encoding"
 	"dpmg/internal/framing"
 	"dpmg/internal/stream"
@@ -375,14 +376,14 @@ func (s *server) handleSummary(w http.ResponseWriter, r *http.Request, st *dpmg.
 		jsonError(w, http.StatusBadRequest, "bad summary: %v", err)
 		return
 	}
-	// Zero-copy wrap of the decoded columns; IngestSummary enforces the
-	// stream's k.
+	// Zero-copy wrap of the decoded columns; FoldSummary enforces the
+	// stream's k and copies what it keeps.
 	wrapped, err := dpmg.NewMergeableSummarySorted(sum.K, sum.Keys(), sum.Counts())
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "bad summary: %v", err)
 		return
 	}
-	if err := st.IngestSummary(wrapped); err != nil {
+	if err := st.FoldSummary(wrapped); err != nil {
 		if errors.Is(err, dpmg.ErrFaultIn) {
 			// Server-side offload-store trouble, not a client error: the
 			// summary was well-formed and nothing was merged. 503 so the
@@ -975,46 +976,10 @@ func (s *server) saveState(dir string) error {
 	return s.writeSnapshot(dir)
 }
 
-// writeSnapshot writes the manager snapshot with the temp/sync/rename/
-// sync-dir discipline; saveState holds the flush mutex (and, on a root,
-// the fold quiesce) around it.
+// writeSnapshot writes the manager snapshot durably; saveState holds the
+// flush mutex (and, on a root, the fold quiesce) around it.
 func (s *server) writeSnapshot(dir string) error {
-	f, err := os.CreateTemp(dir, stateFileName+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := s.mgr.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, stateFileName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a completed rename inside it survives a
-// crash (the dpmg.DirStore applies the same discipline to offload
-// records).
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
+	return durable.WriteFile(dir, stateFileName, s.mgr.Snapshot)
 }
 
 // loadOrNewManager restores the manager from dir's snapshot if one exists,

@@ -57,7 +57,7 @@ func TestCutSummaryDisjointSegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fanin.IngestSummary(wrapped); err != nil {
+		if err := fanin.FoldSummary(wrapped); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func fanin2Ingest(m *Manager, sum *MergeableSummary) error {
 	if err != nil {
 		return err
 	}
-	return st.IngestSummary(wrapped)
+	return st.FoldSummary(wrapped)
 }
 
 // TestCutSummaryResetAndBookkeeping pins the reset semantics: an immediate

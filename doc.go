@@ -73,18 +73,22 @@
 //	gaussian   N(0, sigma^2) with       single-stream, merged,     merged/sharded/user sketches:
 //	           sigma ~ sqrt(k)/eps      user-level                 sqrt(k) beats k/eps at large k
 //
-// The per-type Release* methods predate this API and survive as thin
-// deprecated wrappers; a release through either path is byte-identical
-// under the same seed.
+// Release is the only release entry point (StringSketch.ReleaseTop maps
+// its result back to strings). What a Releasable hands it is a ReleaseView
+// in one layout — keys strictly ascending with parallel counters — which
+// Release validates before calibrating or charging anything; each mechanism
+// is one loop over those columns, so noise is always drawn in the sorted,
+// input-independent order Section 5.2 requires and no map sits between
+// Release and a noise draw.
 //
 // # Budget accounting
 //
 // An Accountant meters cumulative privacy loss under basic composition:
 // it is given a total (eps, delta) budget up front and atomically admits
 // or refuses each release against the remainder (ErrBudgetExhausted).
-// The charge is ordered after calibration and before noising, so a
-// calibration error never burns budget and a charged release always
-// yields a histogram. Every managed Stream owns a private Accountant —
+// The charge is ordered after view validation and calibration and before
+// noising, so a refused view or a calibration error never burns budget and
+// a charged release always yields a histogram. Every managed Stream owns a private Accountant —
 // tenants never share an account — and accountant state round-trips
 // exactly through snapshots, restarts, and offload records.
 //

@@ -77,52 +77,19 @@ func (s *Sketch) K() int { return s.inner.K() }
 func (s *Sketch) N() int64 { return s.inner.N() }
 
 // ReleaseView snapshots the sketch for the unified release path: the full
-// Algorithm 1 counter table (dummy and zero keys included) under
-// single-stream (Lemma 8) sensitivity.
+// Algorithm 1 counter table (dummy and zero keys included) in ascending key
+// order, under single-stream (Lemma 8) sensitivity.
 func (s *Sketch) ReleaseView() (*ReleaseView, error) {
+	keys, vals := s.inner.AppendAll(nil, nil)
 	return &ReleaseView{
-		counts:  s.inner.Counters(),
-		Keys:    s.inner.SortedKeys(),
-		IsDummy: s.inner.IsDummy,
+		Keys: keys,
+		Vals: vals,
 		Sens: Sensitivity{
 			Class:    SensitivitySingleStream,
 			K:        s.inner.K(),
 			Universe: s.inner.Universe(),
 		},
 	}, nil
-}
-
-// Release releases the sketch under (eps, delta)-differential privacy using
-// the paper's Algorithm 2. With probability 1-beta every estimate is within
-// 2·ln((k+1)/beta)/eps above the sketch value and within that plus
-// 1 + 2·ln(3/delta)/eps below it; elements never seen are never released.
-// The same seed yields the same release; never release twice with
-// different seeds unless you account for composition.
-//
-// Deprecated: use Release(s, p, WithSeed(seed)), which this wraps
-// byte-identically and which also supports WithAccountant metering.
-func (s *Sketch) Release(p Params, seed uint64) (Histogram, error) {
-	return Release(s, p, WithMechanism(MechanismLaplace), WithSeed(seed))
-}
-
-// ReleaseGeometric is Release with two-sided geometric (discrete) noise, the
-// Section 5.2 variant recommended for deployments worried about
-// floating-point attacks. Released values are integers.
-//
-// Deprecated: use Release(s, p, WithMechanism("geometric"), WithSeed(seed)).
-func (s *Sketch) ReleaseGeometric(p Params, seed uint64) (Histogram, error) {
-	return Release(s, p, WithMechanism(MechanismGeometric), WithSeed(seed))
-}
-
-// ReleasePure releases the sketch under pure eps-differential privacy via
-// the Section 6 pipeline: the sensitivity-reduction post-processing
-// (Algorithm 3) followed by Laplace(2/eps) noise on every universe element
-// and a top-k cut. Error n/(k+1) + O(log(d)/eps); runtime Theta(d).
-//
-// Deprecated: use Release(s, Params{Eps: eps}, WithMechanism("pure"),
-// WithSeed(seed)).
-func (s *Sketch) ReleasePure(eps float64, seed uint64) (Histogram, error) {
-	return Release(s, Params{Eps: eps}, WithMechanism(MechanismPure), WithSeed(seed))
 }
 
 // Summary extracts the mergeable non-private summary (positive real-item
@@ -162,23 +129,16 @@ func (s *StandardSketch) K() int { return s.inner.K() }
 // single-stream sensitivity with the Standard flag set, which routes the
 // laplace mechanism onto the raised Section 5.1 threshold.
 func (s *StandardSketch) ReleaseView() (*ReleaseView, error) {
+	keys, vals := s.inner.AppendAll(nil, nil)
 	return &ReleaseView{
-		counts: s.inner.Counters(),
-		Keys:   s.inner.SortedKeys(),
+		Keys: keys,
+		Vals: vals,
 		Sens: Sensitivity{
 			Class:    SensitivitySingleStream,
 			K:        s.inner.K(),
 			Standard: true,
 		},
 	}, nil
-}
-
-// Release releases under (eps, delta)-DP with the Section 5.1 threshold
-// 1 + 2·ln((k+1)/(2·delta))/eps.
-//
-// Deprecated: use Release(s, p, WithSeed(seed)).
-func (s *StandardSketch) Release(p Params, seed uint64) (Histogram, error) {
-	return Release(s, p, WithMechanism(MechanismLaplace), WithSeed(seed))
 }
 
 // MergeableSummary is a non-private mergeable Misra-Gries summary
@@ -226,9 +186,8 @@ func NewReusableSummary() *MergeableSummary {
 // SetSorted rebinds the summary in place to borrow the given pre-sorted
 // columns, with exactly NewMergeableSummarySorted's validation and zero
 // allocations. The summary borrows the slices only until the next SetSorted;
-// consumers that retain summary state past that point (Stream.FoldSummary
-// copies; Stream.IngestSummary takes ownership and must not be handed one
-// of these) make the reuse contract the caller's to uphold.
+// a consumer that retains summary state past that point must copy it, as
+// Stream.FoldSummary does.
 func (s *MergeableSummary) SetSorted(k int, keys []Item, counts []int64) error {
 	if s.inner == nil {
 		s.inner = new(merge.Summary)
@@ -321,28 +280,6 @@ func (m *SummaryMerger) MergeAll(summaries []*MergeableSummary) (*MergeableSumma
 	return &m.out, nil
 }
 
-// Release privatizes a (possibly merged) summary with noise calibrated to
-// the merged sensitivity of Corollary 18 (up to k counters differ by one):
-// Laplace(k/eps) per counter plus a k-scaled threshold. The noise is
-// independent of how many summaries were merged. For a single unmerged
-// sketch prefer the single-stream laplace release, whose noise is O(1/eps).
-//
-// Deprecated: use Release(s, p, WithMechanism("laplace"), WithSeed(seed)).
-func (s *MergeableSummary) Release(p Params, seed uint64) (Histogram, error) {
-	return Release(s, p, WithMechanism(MechanismLaplace), WithSeed(seed))
-}
-
-// ReleaseGaussian privatizes the summary with the Gaussian Sparse Histogram
-// Mechanism calibrated by the exact Theorem 23 analysis with l = k, which
-// scales with sqrt(k) instead of k. Prefer this over the laplace release
-// for large k.
-//
-// Deprecated: use Release(s, p, WithSeed(seed)) — gaussian is the default
-// mechanism for merged summaries.
-func (s *MergeableSummary) ReleaseGaussian(p Params, seed uint64) (Histogram, error) {
-	return Release(s, p, WithMechanism(MechanismGaussian), WithSeed(seed))
-}
-
 // MergeReleased merges two already-private releases (the untrusted
 // aggregator setting): privacy is preserved by post-processing but errors
 // accumulate per merge.
@@ -401,45 +338,12 @@ func (s *UserSketch) K() int { return s.inner.K() }
 
 // ReleaseView snapshots the sketch for the unified release path: the PAMG
 // counter table under user-level (Theorem 30) sensitivity, for which only
-// the gaussian mechanism is calibrated. The view is flattened once at
-// snapshot time so the release loop runs on sorted parallel columns.
+// the gaussian mechanism is calibrated.
 func (s *UserSketch) ReleaseView() (*ReleaseView, error) {
-	counts := s.inner.Counters()
-	keys, vals := flattenCounts(counts)
+	keys, vals := s.inner.AppendAll(nil, nil)
 	return &ReleaseView{
-		counts: counts,
-		Keys:   keys,
-		Vals:   vals,
-		Sens:   Sensitivity{Class: SensitivityUserLevel, K: s.inner.K()},
+		Keys: keys,
+		Vals: vals,
+		Sens: Sensitivity{Class: SensitivityUserLevel, K: s.inner.K()},
 	}, nil
-}
-
-// Release privatizes the sketch with the Gaussian Sparse Histogram
-// Mechanism under user-level (eps, delta)-DP (Theorem 30). Noise scales
-// with sqrt(k), independent of m.
-//
-// Deprecated: use Release(s, p, WithSeed(seed)) — gaussian is the default
-// (and only) mechanism for user-level sketches.
-func (s *UserSketch) Release(p Params, seed uint64) (Histogram, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return Release(s, p, WithMechanism(MechanismGaussian), WithSeed(seed))
-}
-
-// flattenCounts converts a counter table to flat parallel columns with the
-// keys in ascending order, the input-independent release order every view
-// carries. Every key is kept — release loops skip non-positive counters
-// themselves, so flat and map draws stay identical.
-func flattenCounts(counts map[Item]int64) ([]Item, []int64) {
-	keys := make([]Item, 0, len(counts))
-	for x := range counts {
-		keys = append(keys, x)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	vals := make([]int64, len(keys))
-	for i, x := range keys {
-		vals[i] = counts[x]
-	}
-	return keys, vals
 }

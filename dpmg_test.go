@@ -18,7 +18,7 @@ func TestSketchEndToEnd(t *testing.T) {
 	if sk.N() != 200000 || sk.K() != 64 {
 		t.Fatalf("accounting: N=%d K=%d", sk.N(), sk.K())
 	}
-	h, err := sk.Release(pp, 42)
+	h, err := Release(sk, pp, WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestSketchEndToEnd(t *testing.T) {
 		}
 	}
 	// Determinism.
-	h2, _ := sk.Release(pp, 42)
+	h2, _ := Release(sk, pp, WithSeed(42))
 	if len(h2) != len(h) {
 		t.Error("same seed, different release")
 	}
@@ -58,7 +58,7 @@ func TestReleaseGeometricFacade(t *testing.T) {
 	for _, x := range workload.Zipf(50000, 100, 1.3, 2) {
 		sk.Update(x)
 	}
-	h, err := sk.ReleaseGeometric(pp, 7)
+	h, err := Release(sk, pp, WithMechanism(MechanismGeometric), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReleasePureFacade(t *testing.T) {
 	for _, x := range workload.HeavyTail(100000, 200, 3, 0.9, 3) {
 		sk.Update(x)
 	}
-	h, err := sk.ReleasePure(1.0, 5)
+	h, err := Release(sk, Params{Eps: 1.0}, WithMechanism(MechanismPure), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestMergeSummariesAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hLap, err := merged.Release(pp, 1)
+	hLap, err := Release(merged, pp, WithMechanism(MechanismLaplace), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hGauss, err := merged.ReleaseGaussian(pp, 1)
+	hGauss, err := Release(merged, pp, WithMechanism(MechanismGaussian), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestUserSketch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h, err := us.Release(pp, 9)
+	h, err := Release(us, pp, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestStringSketch(t *testing.T) {
 	if s.Estimate("never-seen") != 0 {
 		t.Error("unknown string non-zero")
 	}
-	rel, err := s.Release(pp, 11)
+	rel, err := s.ReleaseTop(pp, WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestStandardSketchFacade(t *testing.T) {
 	if sk.Estimate(1) == 0 {
 		t.Fatal("heavy estimate zero")
 	}
-	h, err := sk.Release(pp, 3)
+	h, err := Release(sk, pp, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

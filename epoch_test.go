@@ -120,7 +120,7 @@ func TestStreamEpochEstimateMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.IngestSummary(sum); err != nil {
+	if err := st.FoldSummary(sum); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.sharded.Load().Publish(); err != nil {

@@ -130,7 +130,7 @@ func ExampleManager() {
 	fmt.Println("created:", created)
 	// Ingest raw items, validated against the stream's universe. (Node
 	// summaries from edge sketches feed the same combined release view
-	// via st.IngestSummary.)
+	// via st.FoldSummary.)
 	batch := make([]dpmg.Item, 3000)
 	for i := range batch {
 		batch[i] = dpmg.Item(i%3 + 7) // items 7..9, 1000 times each

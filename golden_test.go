@@ -27,7 +27,7 @@ func goldenSketch() *Sketch {
 }
 
 func TestGoldenReleaseStable(t *testing.T) {
-	h, err := goldenSketch().Release(Params{Eps: 1, Delta: 1e-6}, 12345)
+	h, err := Release(goldenSketch(), Params{Eps: 1, Delta: 1e-6}, WithSeed(12345))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestGoldenReleaseStable(t *testing.T) {
 	// Stability: ten repetitions must be bit-identical — any dependence on
 	// map iteration order would break this within a run or across runs.
 	for rep := 0; rep < 10; rep++ {
-		h2, _ := goldenSketch().Release(Params{Eps: 1, Delta: 1e-6}, 12345)
+		h2, _ := Release(goldenSketch(), Params{Eps: 1, Delta: 1e-6}, WithSeed(12345))
 		if len(h2) != len(h) {
 			t.Fatalf("rep %d: support drift", rep)
 		}
@@ -70,12 +70,12 @@ func TestGoldenReleaseStable(t *testing.T) {
 }
 
 func TestGoldenGeometricStable(t *testing.T) {
-	h, err := goldenSketch().ReleaseGeometric(Params{Eps: 1, Delta: 1e-6}, 777)
+	h, err := Release(goldenSketch(), Params{Eps: 1, Delta: 1e-6}, WithMechanism(MechanismGeometric), WithSeed(777))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 10; rep++ {
-		h2, _ := goldenSketch().ReleaseGeometric(Params{Eps: 1, Delta: 1e-6}, 777)
+		h2, _ := Release(goldenSketch(), Params{Eps: 1, Delta: 1e-6}, WithMechanism(MechanismGeometric), WithSeed(777))
 		if len(h2) != len(h) {
 			t.Fatalf("rep %d: support drift", rep)
 		}

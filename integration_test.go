@@ -25,7 +25,7 @@ func TestPipelineSketchReleaseRecall(t *testing.T) {
 	for _, x := range str {
 		sk.Update(x)
 	}
-	h, err := sk.Release(Params{Eps: 1, Delta: 1e-6}, 1)
+	h, err := Release(sk, Params{Eps: 1, Delta: 1e-6}, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,16 +59,16 @@ func TestPipelineAllReleasesAgreeOnHeavyHitters(t *testing.T) {
 	}
 	releases := map[string]Histogram{}
 	var err error
-	if releases["laplace"], err = sk.Release(p, 3); err != nil {
+	if releases["laplace"], err = Release(sk, p, WithSeed(3)); err != nil {
 		t.Fatal(err)
 	}
-	if releases["geometric"], err = sk.ReleaseGeometric(p, 3); err != nil {
+	if releases["geometric"], err = Release(sk, p, WithMechanism(MechanismGeometric), WithSeed(3)); err != nil {
 		t.Fatal(err)
 	}
-	if releases["pure"], err = sk.ReleasePure(1, 3); err != nil {
+	if releases["pure"], err = Release(sk, Params{Eps: 1}, WithMechanism(MechanismPure), WithSeed(3)); err != nil {
 		t.Fatal(err)
 	}
-	if releases["standard"], err = std.Release(p, 3); err != nil {
+	if releases["standard"], err = Release(std, p, WithSeed(3)); err != nil {
 		t.Fatal(err)
 	}
 	for name, h := range releases {
@@ -120,11 +120,11 @@ func TestPipelineDistributedMatchesCentral(t *testing.T) {
 		}
 	}
 	// Private releases from both paths recover the same top-5.
-	hc, err := central.Release(Params{Eps: 1, Delta: 1e-6}, 9)
+	hc, err := Release(central, Params{Eps: 1, Delta: 1e-6}, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hm, err := merged.ReleaseGaussian(Params{Eps: 1, Delta: 1e-6}, 9)
+	hm, err := Release(merged, Params{Eps: 1, Delta: 1e-6}, WithMechanism(MechanismGaussian), WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestPipelineUserLevelBudgetsComparable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h, err := us.Release(Params{Eps: 1, Delta: 1e-6}, 2)
+	h, err := Release(us, Params{Eps: 1, Delta: 1e-6}, WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPipelineContinualConsistentWithOneShot(t *testing.T) {
 	for _, x := range data {
 		oneShot.Update(x)
 	}
-	ref, err := oneShot.Release(p, 4)
+	ref, err := Release(oneShot, p, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +213,9 @@ func TestSeedIsolation(t *testing.T) {
 		sk.Update(x)
 	}
 	p := Params{Eps: 1, Delta: 1e-6}
-	a1, _ := sk.Release(p, 100)
-	a2, _ := sk.Release(p, 100)
-	b, _ := sk.Release(p, 101)
+	a1, _ := Release(sk, p, WithSeed(100))
+	a2, _ := Release(sk, p, WithSeed(100))
+	b, _ := Release(sk, p, WithSeed(101))
 	identical := len(a1) == len(a2)
 	for x, v := range a1 {
 		if a2[x] != v {

@@ -78,7 +78,7 @@ func (l *foldLog) twin(t testing.TB) *dpmg.Manager {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.IngestSummary(sum); err != nil {
+		if err := st.FoldSummary(sum); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"dpmg/internal/durable"
 	"dpmg/internal/merge"
 )
 
@@ -26,9 +28,8 @@ import (
 // themselves and must stay inside the trust boundary (directory mode 0700,
 // like the offload store).
 //
-// Writes follow the same write-temp, fsync, rename, fsync-directory
-// discipline as DirStore.Save — once Save returns, the record survives a
-// crash. Safe for concurrent use by one writer and any readers; the
+// Writes go through durable.WriteFile, like DirStore.Save — once Save
+// returns, the record survives a crash. Safe for concurrent use by one writer and any readers; the
 // Shipper serializes writes on its own goroutine.
 type Spool struct {
 	dir     string
@@ -87,46 +88,15 @@ func (s *Spool) Save(stream string, seq uint64, sum *merge.Summary) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(s.dir, s.name(stream, seq)+".tmp-*")
+	err = durable.WriteFile(s.dir, s.name(stream, seq), func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
 	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(payload); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, s.name(stream, seq))); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
 		return err
 	}
 	s.pending.Add(1)
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-completed rename inside it is
-// durable, not merely visible.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
 }
 
 // parseRecord parses a record file name into (stream, seq), reporting
@@ -183,9 +153,9 @@ func (s *Spool) List() ([]Record, error) {
 	return recs, nil
 }
 
-// isStaleTemp reports whether name is a leftover CreateTemp file from a
-// Save interrupted before its rename. The check is anchored to the end of
-// the name: CreateTemp's random ".tmp-<suffix>" never contains a dot,
+// isStaleTemp reports whether name is a temp file left by a Save
+// interrupted before its rename. The check is anchored to the end of the
+// name: durable.WriteFile's random ".tmp-<suffix>" never contains a dot,
 // while a genuine record always ends in ".sum" after its dotted sequence
 // field — so a record of a stream whose own name contains ".sum.tmp-"
 // (names allow dots and dashes) can never match and be swept.

@@ -76,13 +76,12 @@ type Monitor struct {
 
 	// relKeys/relVals are the flat extraction scratch the per-epoch release
 	// reuses (mg.AppendAll → core.ReleaseColumns): steady-state releases
-	// build no counter map and allocate no key slice. Draws are identical to
-	// the map path under the same seed (see the differential test).
+	// build no counter map and allocate no key slice.
 	relKeys []stream.Item
 	relVals []int64
 
 	// release performs one per-epoch Algorithm 2 release. It defaults to
-	// releaseFlat; the differential test swaps in the map-based core.Release
+	// releaseFlat; the differential test swaps in a map-based reference loop
 	// to pin flat ≡ map draw for draw under a shared seed.
 	release func(*mg.Sketch, core.Params) (hist.Estimate, error)
 }
@@ -245,9 +244,8 @@ func (m *Monitor) EndEpoch() (hist.Estimate, error) {
 // releaseFlat runs the Algorithm 2 release over the sketch's flat column
 // extraction: the full counter table is appended into the monitor's reused
 // scratch (ascending keys, dummies included) and privatized with
-// core.ReleaseColumns. Draw-for-draw identical to core.Release on the same
-// sketch — the differential test pins flat ≡ map under a shared seed — but
-// with no counter map and no per-epoch key allocation.
+// core.ReleaseColumns: core.Release on the same sketch without the
+// per-epoch column allocation.
 func (m *Monitor) releaseFlat(sk *mg.Sketch, p core.Params) (hist.Estimate, error) {
 	keys, vals := sk.AppendAll(m.relKeys[:0], m.relVals[:0])
 	m.relKeys, m.relVals = keys, vals

@@ -7,6 +7,7 @@ import (
 	"dpmg/internal/core"
 	"dpmg/internal/hist"
 	"dpmg/internal/mg"
+	"dpmg/internal/noise"
 	"dpmg/internal/stream"
 	"dpmg/internal/workload"
 )
@@ -220,8 +221,8 @@ func TestUniformBudgetEnforced(t *testing.T) {
 // TestEndEpochFlatMatchesMap is the differential harness for the flat
 // per-epoch release port: two monitors with identical options and seed are
 // fed the same stream, one releasing through the default flat path
-// (mg.AppendAll → core.ReleaseColumns) and one through the retained
-// map-based core.Release. Every epoch snapshot must be bit-identical under
+// (mg.AppendAll → core.ReleaseColumns) and one through a test-local copy of
+// the map-based loop it replaced. Every epoch snapshot must be bit-identical under
 // both strategies — same counters, same ascending release order, same
 // number of draws per key, hence the same seed → noise mapping.
 func TestEndEpochFlatMatchesMap(t *testing.T) {
@@ -240,9 +241,19 @@ func TestEndEpochFlatMatchesMap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Swap the reference monitor's release seam onto the map path.
+			// Swap the reference monitor's release seam onto the map loop:
+			// counters looked up in the Counters map along SortedKeys.
 			ref.release = func(sk *mg.Sketch, p core.Params) (hist.Estimate, error) {
-				return core.Release(sk, p, ref.src)
+				counts := sk.Counters()
+				eta := noise.Laplace(ref.src, 1/p.Eps)
+				out := make(hist.Estimate)
+				for _, x := range sk.SortedKeys() {
+					noisy := float64(counts[x]) + eta + noise.Laplace(ref.src, 1/p.Eps)
+					if noisy >= p.Threshold() && !sk.IsDummy(x) {
+						out[x] = noisy
+					}
+				}
+				return out, nil
 			}
 			str := workload.Zipf(T*3000, 1000, 1.1, 21)
 			for e := 0; e < T; e++ {

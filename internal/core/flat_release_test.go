@@ -10,11 +10,12 @@ import (
 	"dpmg/internal/workload"
 )
 
-// TestReleaseColumnsMatchesMap pins the flat Algorithm 2 release to the
-// map-based one draw for draw: for the same sketch state and the same seed,
-// ReleaseColumns over the AppendAll extraction must produce a bit-identical
-// histogram to Release over the Counters/SortedKeys view. This is the
-// release the continual monitor's per-epoch path runs on.
+// TestReleaseColumnsMatchesMap pins every column loop to its map-based
+// reference (mapref_test.go) draw for draw: for the same sketch state and
+// the same seed, ReleaseColumns, ReleaseGeometricColumns and
+// ReleaseStandardColumns over the AppendAll extraction must produce
+// bit-identical histograms to the map loops over the Counters/SortedKeys
+// view.
 func TestReleaseColumnsMatchesMap(t *testing.T) {
 	cases := []struct {
 		name string
@@ -41,12 +42,27 @@ func TestReleaseColumnsMatchesMap(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mapped, err := Release(sk, p, noise.NewSource(seed))
+				if mapped := releaseMapRef(sk, p, noise.NewSource(seed)); !reflect.DeepEqual(flat, mapped) {
+					t.Fatalf("seed %d: flat and map releases diverge:\nflat %v\nmap  %v", seed, flat, mapped)
+				}
+				geo, err := ReleaseGeometricColumns(keys, vals, c.d, p, noise.NewSource(seed))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(flat, mapped) {
-					t.Fatalf("seed %d: flat and map releases diverge:\nflat %v\nmap  %v", seed, flat, mapped)
+				if mapped := releaseGeometricMapRef(sk, p, noise.NewSource(seed)); !reflect.DeepEqual(geo, mapped) {
+					t.Fatalf("seed %d: flat and map geometric releases diverge:\nflat %v\nmap  %v", seed, geo, mapped)
+				}
+			}
+			std := mg.NewStandard(c.k)
+			std.Process(c.str)
+			for seed := uint64(1); seed <= 20; seed++ {
+				keys, vals = std.AppendAll(keys[:0], vals[:0])
+				flat, err := ReleaseStandardColumns(keys, vals, c.k, p, noise.NewSource(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mapped := releaseStandardMapRef(std, c.k, p, noise.NewSource(seed)); !reflect.DeepEqual(flat, mapped) {
+					t.Fatalf("seed %d: flat and map standard releases diverge:\nflat %v\nmap  %v", seed, flat, mapped)
 				}
 			}
 		})

@@ -43,47 +43,21 @@ func (p Params) Validate() error {
 // Threshold returns the Algorithm 2 removal threshold 1 + 2·ln(3/δ)/ε.
 func (p Params) Threshold() float64 { return noise.PMGThreshold(p.Eps, p.Delta) }
 
-// Alg1Sketch is the view of a paper-variant (Algorithm 1) Misra-Gries
-// sketch that the release mechanisms consume. Both mg.Sketch (the flat
-// production implementation) and mg.Ref (the map-based executable
-// specification) satisfy it, which lets the differential test harness
-// assert that seeded releases of the two are byte-identical.
-type Alg1Sketch interface {
-	Counters() map[stream.Item]int64
-	SortedKeys() []stream.Item
-	IsDummy(stream.Item) bool
+// Release extracts sk's counter table and runs Algorithm 2 (PMG) on it; see
+// ReleaseColumns.
+func Release(sk *mg.Sketch, p Params, src noise.Source) (hist.Estimate, error) {
+	keys, vals := sk.AppendAll(nil, nil)
+	return ReleaseColumns(keys, vals, sk.Universe(), p, src)
 }
 
-// Release runs Algorithm 2 (PMG) on a paper-variant Misra-Gries sketch and
-// returns the private frequency table. Only genuine universe elements
-// survive: dummy keys are removed as post-processing, which the paper notes
-// does not affect privacy. The iteration order is the sorted key order, one
-// of the Section 5.2 requirements for a safe release.
-func Release(sk Alg1Sketch, p Params, src noise.Source) (hist.Estimate, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	counts := sk.Counters()
-	eta := noise.Laplace(src, 1/p.Eps) // shared second noise layer
-	thresh := p.Threshold()
-	out := make(hist.Estimate)
-	for _, x := range sk.SortedKeys() {
-		noisy := float64(counts[x]) + eta + noise.Laplace(src, 1/p.Eps)
-		if noisy >= thresh && !sk.IsDummy(x) {
-			out[x] = noisy
-		}
-	}
-	return out, nil
-}
-
-// ReleaseColumns runs Algorithm 2 over a flat extraction of the full
+// ReleaseColumns runs Algorithm 2 (PMG) over a flat extraction of the full
 // Algorithm 1 counter table: keys strictly ascending with parallel counts
 // (mg.Sketch.AppendAll), dummy keys identified by lying above the universe
 // bound. The loop draws the shared layer then one Laplace(1/eps) sample per
-// key in ascending order — exactly the draw sequence of Release over the
-// same table — so flat and map releases are byte-identical under the same
-// seed (pinned by TestReleaseColumnsMatchesMap). This is the map-free path
-// the continual monitor's per-epoch releases run on.
+// key in ascending order — the sorted, input-independent order Section 5.2
+// requires for a safe release. Only genuine universe elements survive:
+// dummy keys are removed as post-processing, which the paper notes does not
+// affect privacy.
 func ReleaseColumns(keys []stream.Item, counts []int64, universe uint64, p Params, src noise.Source) (hist.Estimate, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -100,30 +74,27 @@ func ReleaseColumns(keys []stream.Item, counts []int64, universe uint64, p Param
 	return out, nil
 }
 
-// StdSketch is the view of a standard Misra-Gries sketch (zero counters
-// removed immediately) that the Section 5.1 release consumes. *mg.
-// StandardSketch satisfies it, as does any front-end exposing the same
-// counter snapshot.
-type StdSketch interface {
-	Counters() map[stream.Item]int64
-	SortedKeys() []stream.Item
-	K() int
+// ReleaseStandard extracts sk's counter table and privatizes it with the
+// Section 5.1 variant; see ReleaseStandardColumns.
+func ReleaseStandard(sk *mg.StandardSketch, p Params, src noise.Source) (hist.Estimate, error) {
+	keys, vals := sk.AppendAll(nil, nil)
+	return ReleaseStandardColumns(keys, vals, sk.K(), p, src)
 }
 
-// ReleaseStandard privatizes a standard Misra-Gries sketch (zero counters
-// removed immediately) using the Section 5.1 variant: the same two noise
-// layers but the raised threshold 1 + 2·ln((k+1)/(2δ))/ε, which also hides
-// the up-to-k keys that can differ between neighboring standard sketches.
-func ReleaseStandard(sk StdSketch, p Params, src noise.Source) (hist.Estimate, error) {
+// ReleaseStandardColumns privatizes the counter table of a standard
+// Misra-Gries sketch (keys strictly ascending with parallel counts) using
+// the Section 5.1 variant: the same two noise layers but the raised
+// threshold 1 + 2·ln((k+1)/(2δ))/ε, which also hides the up-to-k keys that
+// can differ between neighboring standard sketches.
+func ReleaseStandardColumns(keys []stream.Item, counts []int64, k int, p Params, src noise.Source) (hist.Estimate, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	counts := sk.Counters()
 	eta := noise.Laplace(src, 1/p.Eps)
-	thresh := noise.StandardMGThreshold(p.Eps, p.Delta, sk.K())
+	thresh := noise.StandardMGThreshold(p.Eps, p.Delta, k)
 	out := make(hist.Estimate)
-	for _, x := range sk.SortedKeys() {
-		noisy := float64(counts[x]) + eta + noise.Laplace(src, 1/p.Eps)
+	for i, x := range keys {
+		noisy := float64(counts[i]) + eta + noise.Laplace(src, 1/p.Eps)
 		if noisy >= thresh {
 			out[x] = noisy
 		}
@@ -131,23 +102,30 @@ func ReleaseStandard(sk StdSketch, p Params, src noise.Source) (hist.Estimate, e
 	return out, nil
 }
 
-// ReleaseGeometric is the Section 5.2 discrete release: both noise layers
-// are two-sided geometric with parameter alpha = exp(-eps) (the geometric
+// ReleaseGeometric extracts sk's counter table and runs the Section 5.2
+// discrete release on it; see ReleaseGeometricColumns.
+func ReleaseGeometric(sk *mg.Sketch, p Params, src noise.Source) (hist.Estimate, error) {
+	keys, vals := sk.AppendAll(nil, nil)
+	return ReleaseGeometricColumns(keys, vals, sk.Universe(), p, src)
+}
+
+// ReleaseGeometricColumns is the Section 5.2 discrete release over the flat
+// Algorithm 1 counter table ReleaseColumns takes: both noise layers are
+// two-sided geometric with parameter alpha = exp(-eps) (the geometric
 // mechanism for sensitivity 1), and the threshold is raised to
 // 1 + 2·⌈ln(6e^ε/((e^ε+1)δ))/ε⌉ so that Lemma 11 still holds. All released
 // values are integers, avoiding floating-point side channels.
-func ReleaseGeometric(sk Alg1Sketch, p Params, src noise.Source) (hist.Estimate, error) {
+func ReleaseGeometricColumns(keys []stream.Item, counts []int64, universe uint64, p Params, src noise.Source) (hist.Estimate, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	counts := sk.Counters()
 	alpha := noise.GeometricAlpha(p.Eps, 1)
 	eta := noise.TwoSidedGeometric(src, alpha)
 	thresh := noise.GeometricThreshold(p.Eps, p.Delta)
 	out := make(hist.Estimate)
-	for _, x := range sk.SortedKeys() {
-		noisy := counts[x] + eta + noise.TwoSidedGeometric(src, alpha)
-		if float64(noisy) >= thresh && !sk.IsDummy(x) {
+	for i, x := range keys {
+		noisy := counts[i] + eta + noise.TwoSidedGeometric(src, alpha)
+		if float64(noisy) >= thresh && uint64(x) <= universe {
 			out[x] = float64(noisy)
 		}
 	}

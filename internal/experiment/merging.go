@@ -147,7 +147,7 @@ func E7UserLevel(c Config) *Table {
 		}
 		pa := pamg.New(k)
 		pa.Process(ss)
-		counters := pa.Counters()
+		keys, vals := pa.AppendAll(nil, nil)
 		var ePMG, eGSHM float64
 		for trial := 0; trial < trials; trial++ {
 			seed := c.Seed + uint64(7000*m+trial)
@@ -156,7 +156,7 @@ func E7UserLevel(c Config) *Table {
 				panic(err)
 			}
 			ePMG += hist.MaxError(relP, f)
-			eGSHM += hist.MaxError(gshm.Release(counters, cfg, noise.NewSource(seed)), f)
+			eGSHM += hist.MaxError(gshm.ReleaseFlat(keys, vals, cfg, noise.NewSource(seed)), f)
 		}
 		scaled, _ := core.UserLevelParams(p, m)
 		t.AddRow(m, ePMG/float64(trials), eGSHM/float64(trials), 1/scaled.Eps, cfg.Tau)

@@ -16,7 +16,6 @@ package gshm
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"dpmg/internal/hist"
@@ -180,41 +179,11 @@ func minFeasibleTau(eps, delta, sigma float64, l int, hi float64) (float64, bool
 	return hi, true
 }
 
-// Release applies the mechanism to a counter table: N(0, sigma^2) noise on
-// every positive counter, drop noisy values below 1 + tau. Keys are visited
-// in sorted order for an input-independent release order.
-func Release(counts map[stream.Item]int64, c Config, src noise.Source) hist.Estimate {
-	keys := make([]stream.Item, 0, len(counts))
-	for x := range counts {
-		keys = append(keys, x)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return ReleaseSorted(counts, keys, c, src)
-}
-
-// ReleaseSorted is Release visiting the counters in the caller-supplied key
-// order, for callers (the unified release front-end) that already hold the
-// ascending key set — keys must cover every key of counts and be
-// input-independent, or the Section 5.2 release-order requirement breaks.
-func ReleaseSorted(counts map[stream.Item]int64, keys []stream.Item, c Config, src noise.Source) hist.Estimate {
-	out := make(hist.Estimate)
-	for _, x := range keys {
-		v := counts[x]
-		if v <= 0 {
-			continue
-		}
-		if noisy := float64(v) + noise.Gaussian(src, c.Sigma); noisy >= 1+c.Tau {
-			out[x] = noisy
-		}
-	}
-	return out
-}
-
-// ReleaseFlat applies the mechanism to flat parallel counter columns: keys
-// must be ascending (the input-independent Section 5.2 order) and one
-// Gaussian sample is drawn per strictly positive counter, so the draw
-// sequence is identical to ReleaseSorted over the same table. No map is
-// consulted; this is the path the flat merge tier releases through.
+// ReleaseFlat applies the mechanism to flat parallel counter columns:
+// N(0, sigma^2) noise on every strictly positive counter, noisy values below
+// 1 + tau dropped. keys must be ascending — the input-independent order
+// Section 5.2 requires — and one Gaussian sample is drawn per strictly
+// positive counter in that order.
 func ReleaseFlat(keys []stream.Item, counts []int64, c Config, src noise.Source) hist.Estimate {
 	out := make(hist.Estimate)
 	for i, x := range keys {

@@ -2,8 +2,10 @@ package gshm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"dpmg/internal/hist"
 	"dpmg/internal/noise"
 	"dpmg/internal/pamg"
 	"dpmg/internal/stream"
@@ -117,11 +119,43 @@ func TestSigmaScalesWithSqrtL(t *testing.T) {
 	}
 }
 
+// flatten returns a counter table as ascending parallel columns.
+func flatten(counts map[stream.Item]int64) ([]stream.Item, []int64) {
+	keys := make([]stream.Item, 0, len(counts))
+	for x := range counts {
+		keys = append(keys, x)
+	}
+	slices.Sort(keys)
+	vals := make([]int64, len(keys))
+	for i, x := range keys {
+		vals[i] = counts[x]
+	}
+	return keys, vals
+}
+
+// releaseSortedRef is the map-based loop ReleaseFlat replaced, kept as the
+// test reference: it walks the ascending keys and looks each counter up in
+// the table.
+func releaseSortedRef(counts map[stream.Item]int64, keys []stream.Item, c Config, src noise.Source) hist.Estimate {
+	out := make(hist.Estimate)
+	for _, x := range keys {
+		v := counts[x]
+		if v <= 0 {
+			continue
+		}
+		if noisy := float64(v) + noise.Gaussian(src, c.Sigma); noisy >= 1+c.Tau {
+			out[x] = noisy
+		}
+	}
+	return out
+}
+
 func TestReleaseThresholdAndSupport(t *testing.T) {
 	counts := map[stream.Item]int64{1: 1000, 2: 3, 3: 0, 4: -1}
+	keys, vals := flatten(counts)
 	c := Config{Sigma: 5, Tau: 30, L: 4}
 	for seed := uint64(0); seed < 100; seed++ {
-		rel := Release(counts, c, noise.NewSource(seed))
+		rel := ReleaseFlat(keys, vals, c, noise.NewSource(seed))
 		for x, v := range rel {
 			if v < 1+c.Tau {
 				t.Fatalf("released %d below threshold: %v", x, v)
@@ -137,10 +171,10 @@ func TestReleaseThresholdAndSupport(t *testing.T) {
 }
 
 func TestReleaseDeterministicUnderSeed(t *testing.T) {
-	counts := map[stream.Item]int64{1: 100, 2: 200, 3: 300}
+	keys, vals := []stream.Item{1, 2, 3}, []int64{100, 200, 300}
 	c := Config{Sigma: 3, Tau: 10, L: 3}
-	a := Release(counts, c, noise.NewSource(5))
-	b := Release(counts, c, noise.NewSource(5))
+	a := ReleaseFlat(keys, vals, c, noise.NewSource(5))
+	b := ReleaseFlat(keys, vals, c, noise.NewSource(5))
 	if len(a) != len(b) {
 		t.Fatal("support differs under same seed")
 	}
@@ -157,6 +191,7 @@ func TestErrorBoundHolds(t *testing.T) {
 	sk := pamg.New(64)
 	sk.Process(ss)
 	counts := sk.Counters()
+	keys, vals := sk.AppendAll(nil, nil)
 	cfg, err := Calibrate(1.0, 1e-6, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +199,7 @@ func TestErrorBoundHolds(t *testing.T) {
 	down, up := ErrorBound(cfg)
 	fails := 0
 	for seed := uint64(0); seed < 100; seed++ {
-		rel := Release(counts, cfg, noise.NewSource(seed))
+		rel := ReleaseFlat(keys, vals, cfg, noise.NewSource(seed))
 		for x, v := range counts {
 			rv, ok := rel[x]
 			if !ok {
@@ -219,8 +254,8 @@ func TestEmpiricalPrivacySingleCounter(t *testing.T) {
 }
 
 func TestReleaseFlatMatchesSorted(t *testing.T) {
-	// Same counters, same seed: the flat column release and the map release
-	// must be byte-identical — both visit ascending keys and draw one
+	// Same counters, same seed: the flat column release and the map
+	// reference must be byte-identical — both visit ascending keys and draw one
 	// Gaussian per strictly positive counter.
 	counts := map[stream.Item]int64{3: 40, 7: 0, 11: 55, 19: -2, 23: 61, 40: 1}
 	keys := []stream.Item{3, 7, 11, 19, 23, 40}
@@ -230,7 +265,7 @@ func TestReleaseFlatMatchesSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(0); seed < 20; seed++ {
-		viaMap := ReleaseSorted(counts, keys, cfg, noise.NewSource(seed))
+		viaMap := releaseSortedRef(counts, keys, cfg, noise.NewSource(seed))
 		flat := ReleaseFlat(keys, vals, cfg, noise.NewSource(seed))
 		if len(flat) != len(viaMap) {
 			t.Fatalf("seed %d: support drift: flat %d, map %d", seed, len(flat), len(viaMap))

@@ -74,6 +74,7 @@ package mg
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"dpmg/internal/stream"
@@ -411,6 +412,7 @@ func (s *Sketch) AppendReal(keys []stream.Item, vals []int64) ([]stream.Item, []
 // per-call key allocation.
 func (s *Sketch) AppendAll(keys []stream.Item, vals []int64) ([]stream.Item, []int64) {
 	base := len(keys)
+	keys, vals = slices.Grow(keys, len(s.slots)), slices.Grow(vals, len(s.slots))
 	for i := range s.slots {
 		keys = append(keys, s.slots[i].key)
 		vals = append(vals, s.slots[i].stored-s.off)

@@ -2,6 +2,7 @@ package mg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dpmg/internal/stream"
@@ -83,6 +84,18 @@ func (s *StandardSketch) Counters() map[stream.Item]int64 {
 		out[x] = c
 	}
 	return out
+}
+
+// AppendAll appends the counter table to the given parallel columns in
+// ascending key order and returns the extended slices: the flat extraction
+// the Section 5.1 release loop runs on, like Sketch.AppendAll.
+func (s *StandardSketch) AppendAll(keys []stream.Item, vals []int64) ([]stream.Item, []int64) {
+	keys, vals = slices.Grow(keys, len(s.counts)), slices.Grow(vals, len(s.counts))
+	for _, x := range s.SortedKeys() {
+		keys = append(keys, x)
+		vals = append(vals, s.counts[x])
+	}
+	return keys, vals
 }
 
 // SortedKeys returns the stored keys in ascending order.

@@ -10,6 +10,7 @@ package pamg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dpmg/internal/stream"
@@ -122,6 +123,19 @@ func (s *Sketch) Counters() map[stream.Item]int64 {
 		out[x] = c
 	}
 	return out
+}
+
+// AppendAll appends the counter table to the given parallel columns in
+// ascending key order — the input-independent release order of Section 5.2
+// — and returns the extended slices: the flat extraction the Gaussian
+// Sparse Histogram Mechanism releases.
+func (s *Sketch) AppendAll(keys []stream.Item, vals []int64) ([]stream.Item, []int64) {
+	keys, vals = slices.Grow(keys, len(s.counts)), slices.Grow(vals, len(s.counts))
+	for _, x := range s.SortedKeys() {
+		keys = append(keys, x)
+		vals = append(vals, s.counts[x])
+	}
+	return keys, vals
 }
 
 // SortedKeys returns the stored keys in ascending order (input-independent

@@ -30,22 +30,22 @@ type Reduced struct {
 // counters are zero). By Lemma 15 the reduced estimates still satisfy
 // f̂(x) in [f(x) - n/(k+1), f(x)].
 func Reduce(sk *mg.Sketch) *Reduced {
-	return ReduceCounters(sk.Counters(), sk.K())
+	keys, vals := sk.AppendAll(nil, nil)
+	return ReduceColumns(keys, vals, sk.K())
 }
 
-// ReduceCounters is Reduce on a raw Algorithm 1 counter snapshot (all k
-// counters, dummy and zero keys included) — the form the unified release
-// front-end hands mechanisms. Both entry points share this implementation
-// so the gamma offset and the surviving key set are identical.
-func ReduceCounters(counts map[stream.Item]int64, k int) *Reduced {
+// ReduceColumns is Reduce on a flat Algorithm 1 counter table (all k
+// counters, dummy and zero keys included, counts parallel to keys) — the
+// form the unified release front-end hands mechanisms.
+func ReduceColumns(keys []stream.Item, counts []int64, k int) *Reduced {
 	var sum int64
 	for _, c := range counts {
 		sum += c
 	}
 	gamma := float64(sum) / float64(k+1)
 	out := make(map[stream.Item]float64)
-	for x, c := range counts {
-		if v := float64(c) - gamma; v > 0 {
+	for i, x := range keys {
+		if v := float64(counts[i]) - gamma; v > 0 {
 			out[x] = v
 		}
 	}

@@ -3,6 +3,7 @@ package puredp
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"dpmg/internal/hist"
@@ -229,5 +230,32 @@ func TestToEstimate(t *testing.T) {
 	e := r.ToEstimate()
 	if e[3] != 1.5 || len(e) != 1 {
 		t.Fatalf("ToEstimate = %v", e)
+	}
+}
+
+// reduceMapRef is the map-fed Algorithm 3 loop ReduceColumns replaced, kept
+// as the test reference.
+func reduceMapRef(counts map[stream.Item]int64, k int) *Reduced {
+	var sum int64
+	for _, c := range counts {
+		sum += c
+	}
+	gamma := float64(sum) / float64(k+1)
+	out := make(map[stream.Item]float64)
+	for x, c := range counts {
+		if v := float64(c) - gamma; v > 0 {
+			out[x] = v
+		}
+	}
+	return &Reduced{K: k, Gamma: gamma, Counts: out}
+}
+
+func TestReduceColumnsMatchesMap(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		sk := sketchOf(16, 400, workload.Zipf(20000, 400, 1.1, seed))
+		keys, vals := sk.AppendAll(nil, nil)
+		if got, want := ReduceColumns(keys, vals, sk.K()), reduceMapRef(sk.Counters(), sk.K()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: column reduction %+v, map reduction %+v", seed, got, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package dpmg
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"dpmg/internal/durable"
 	"dpmg/internal/encoding"
 	"dpmg/internal/mg"
 )
@@ -144,50 +146,14 @@ func (d *DirStore) path(name string) string {
 	return filepath.Join(d.dir, name+streamFileSuffix)
 }
 
-// Save implements OffloadStore with write-to-temp, sync, rename, and a
-// final fsync of the directory itself. The directory sync is load-bearing
-// for eviction durability: rename alone only updates the in-memory dentry
-// cache, so a power cut shortly after an offload could silently lose the
-// record — fatal for an evicted stream whose in-memory counters were
-// already dropped. Syncing the parent directory persists the rename, so
-// once Save returns the record survives a crash.
+// Save implements OffloadStore with durable.WriteFile: once it returns, the
+// record survives a crash — which eviction depends on, because the evicted
+// stream's in-memory counters are dropped next.
 func (d *DirStore) Save(name string, data []byte) error {
-	f, err := os.CreateTemp(d.dir, name+streamFileSuffix+".tmp-*")
-	if err != nil {
+	return durable.WriteFile(d.dir, name+streamFileSuffix, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, d.path(name)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(d.dir)
-}
-
-// syncDir fsyncs a directory so a just-completed rename inside it is
-// durable, not merely visible. Shared by DirStore.Save and the server's
-// snapshot flush.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
+	})
 }
 
 // Load implements OffloadStore.
@@ -208,8 +174,8 @@ func (d *DirStore) Delete(name string) error {
 // record check runs first: dots and dashes are legal in stream names after
 // the first character, so a name like "a.stream.tmp-1" produces a record
 // file containing the temp-file marker — but only real temps end in
-// CreateTemp's random digits, never in the ".stream" suffix every record
-// carries, so the suffix cleanly separates the two.
+// durable.WriteFile's random digits, never in the ".stream" suffix every
+// record carries, so the suffix cleanly separates the two.
 func (d *DirStore) List() ([]string, error) {
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {

@@ -115,7 +115,7 @@ func TestEvictFaultInRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.IngestSummary(sum); err != nil {
+	if err := st.FoldSummary(sum); err != nil {
 		t.Fatal(err)
 	}
 	// Spend some budget so the round trip carries accountant history.

@@ -846,41 +846,14 @@ func (s *Stream) maybeTimedPublish(now int64) {
 	}
 }
 
-// IngestSummary folds one shipped node summary into the stream's bounded
+// FoldSummary folds one shipped node summary into the stream's bounded
 // aggregate with the Agarwal et al. merge: the stream never holds more than
 // 2k counters for its node tier, no matter how many edges report. Node
 // summaries are not rate limited (the ceiling governs raw items); an
-// offloaded stream is faulted back in first.
-func (s *Stream) IngestSummary(sum *MergeableSummary) error {
-	if sum.K() != s.cfg.K {
-		return fmt.Errorf("dpmg: stream %q: summary k=%d, stream requires k=%d", s.name, sum.K(), s.cfg.K)
-	}
-	if err := s.acquire(); err != nil {
-		return err
-	}
-	defer s.life.RUnlock()
-	s.touch(s.mgr.now())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur := s.merged.Load(); cur == nil {
-		// First summary: keep it as-is (callers hand over ownership, like
-		// every FromSorted-style zero-copy entry point).
-		s.merged.Store(sum.inner)
-	} else {
-		m, err := merge.Merge(cur, sum.inner)
-		if err != nil {
-			return err
-		}
-		s.merged.Store(m)
-	}
-	s.nodes++
-	return nil
-}
-
-// FoldSummary folds one shipped node summary into the stream's bounded
-// aggregate like IngestSummary, but never retains the caller's storage: the
-// summary's backing slices may be reused the moment it returns. That is the
-// contract the aggregation root's zero-allocation decode path needs — it
+// offloaded stream is faulted back in first. It is the stream's one fold,
+// with one ownership contract: the caller's storage is never retained, so
+// the summary's backing slices may be reused the moment it returns. That is
+// what the aggregation root's zero-allocation decode path needs — it
 // decodes every frame into per-connection scratch and rebinds a single
 // reusable summary over it. The fold runs on a per-stream reusable merger
 // and publishes a fresh compact clone (two allocations at steady state);

@@ -181,7 +181,7 @@ func TestStreamSummaryAndBatchCombine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.IngestSummary(sum); err != nil {
+	if err := st.FoldSummary(sum); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.UpdateBatch(workload.HeavyTail(30000, 1000, 3, 0.9, 2)); err != nil {
@@ -191,7 +191,7 @@ func TestStreamSummaryAndBatchCombine(t *testing.T) {
 	small := NewSketch(8, 1000)
 	small.Update(1)
 	smallSum, _ := small.Summary()
-	if err := st.IngestSummary(smallSum); err == nil {
+	if err := st.FoldSummary(smallSum); err == nil {
 		t.Error("k-mismatched summary accepted")
 	}
 	h, err := st.ReleaseDetailed(Params{Eps: 2, Delta: 1e-5}, WithSeed(3))
@@ -368,7 +368,7 @@ func TestManagerSnapshotRestore(t *testing.T) {
 	edge := NewSketch(32, 1000)
 	edge.UpdateBatch(workload.Zipf(10000, 1000, 1.2, 12))
 	sum, _ := edge.Summary()
-	if err := a.IngestSummary(sum); err != nil {
+	if err := a.FoldSummary(sum); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.UpdateBatch(workload.Zipf(20000, 500, 1.3, 13)); err != nil {

@@ -11,7 +11,6 @@ import (
 	"dpmg/internal/merge"
 	"dpmg/internal/noise"
 	"dpmg/internal/puredp"
-	"dpmg/internal/stream"
 )
 
 // SensitivityClass identifies which of the paper's sensitivity analyses
@@ -62,55 +61,55 @@ type Sensitivity struct {
 	Standard bool
 }
 
-// ReleaseView is the snapshot of sketch state that a Mechanism privatizes:
-// the counters, the keys in ascending (input-independent) order, and the
-// dummy-key predicate. Mechanisms treat it as read-only.
+// ReleaseView is the snapshot of sketch state that a Mechanism privatizes.
+// It has one layout: Keys strictly ascending — the sorted, input-independent
+// order Section 5.2 requires noise to be drawn in — with the counters in
+// Vals, parallel to Keys. Every front-end in this package builds it by a
+// sorted flat extraction, and there is no associative form: nothing between
+// Release and a noise draw holds a map. Mechanisms treat it as read-only.
 //
-// Counters come in one of two layouts. Flat views carry Vals, the counts
-// parallel to Keys — this is what the merged-tier front-ends
-// (MergeableSummary, ShardedSketch, UserSketch) produce, so mechanisms
-// release them with zero map traffic. Map views (the single-stream
-// front-ends, whose mechanisms share the internal/core release loops)
-// leave Vals nil. Mechanisms index layout-agnostically with Count(i), or
-// call Counters() for an associative table; the counter storage itself is
-// unexported so a mechanism can never silently read a layout that is not
-// populated.
+// What the columns hold depends on Sens.Class. A single-stream view carries
+// the sketch's whole counter table: for the paper variant all k counters,
+// zero-count and dummy keys included (every key draws noise, Lemma 8), with
+// the dummy keys being exactly those above Sens.Universe, which no mechanism
+// ever releases; for a Standard sketch the stored positive counters. Merged
+// and user-level views carry the positive counters only.
 type ReleaseView struct {
-	counts  map[Item]int64  // nil for flat views until Counters materializes it
-	Keys    []Item          // ascending; the Section 5.2 release order
-	Vals    []int64         // parallel to Keys; nil for map views
-	IsDummy func(Item) bool // nil when the sketch stores no dummy keys
-	Sens    Sensitivity
+	Keys []Item  // strictly ascending; the Section 5.2 release order
+	Vals []int64 // parallel to Keys
+	Sens Sensitivity
 }
 
-// Count returns the counter paired with Keys[i], regardless of the view's
-// layout.
-func (v *ReleaseView) Count(i int) int64 {
-	if v.Vals != nil {
-		return v.Vals[i]
+// validate checks what every mechanism's loop relies on. ReleaseDetailed
+// calls it on the view a Releasable returned before calibrating and before
+// charging the accountant, so a half-populated or mis-ordered view — from a
+// front-end here or a third-party Releasable — costs no budget and reaches
+// no noise draw.
+func (v *ReleaseView) validate() error {
+	if v == nil {
+		return fmt.Errorf("dpmg: release view is nil")
 	}
-	return v.counts[v.Keys[i]]
-}
-
-// Counters returns the view's counter table as a map. Map views return
-// their table directly; flat views materialize it on first call (an O(k)
-// allocation — release loops that only need sequential access should
-// iterate Keys with Count instead). The result is part of the read-only
-// view: mechanisms must not mutate it.
-func (v *ReleaseView) Counters() map[Item]int64 {
-	if v.counts == nil && v.Keys != nil {
-		m := make(map[Item]int64, len(v.Keys))
-		for i, x := range v.Keys {
-			m[x] = v.Vals[i]
+	if len(v.Vals) != len(v.Keys) {
+		return fmt.Errorf("dpmg: release view has %d keys but %d counters", len(v.Keys), len(v.Vals))
+	}
+	for i := 1; i < len(v.Keys); i++ {
+		if v.Keys[i-1] >= v.Keys[i] {
+			return fmt.Errorf("dpmg: release view keys are not strictly ascending at index %d (%d then %d)",
+				i, v.Keys[i-1], v.Keys[i])
 		}
-		v.counts = m
 	}
-	return v.counts
+	if v.Sens.Class == SensitivitySingleStream && !v.Sens.Standard && v.Sens.Universe == 0 {
+		return fmt.Errorf("dpmg: a paper-variant single-stream view needs a universe bound (its dummy keys are the keys above it)")
+	}
+	return nil
 }
 
 // Releasable is implemented by every sketch front-end in this package:
 // anything that can expose its counters and sensitivity class can be
-// released through Release and metered by an Accountant.
+// released through Release and metered by an Accountant. A third-party
+// implementation must return a view in the layout ReleaseView documents —
+// parallel columns, keys strictly ascending, Sens describing the sketch the
+// counters came from; Release refuses any other view with an error.
 type Releasable interface {
 	// ReleaseView snapshots the sketch state for one private release.
 	ReleaseView() (*ReleaseView, error)
@@ -149,7 +148,10 @@ func (c *Calibration) Impl() any { return c.impl }
 // Calibrate turns (Params, Sensitivity) into a Calibration — or an error,
 // before any budget is spent — and Release applies the calibrated mechanism
 // to a counter view with noise seeded by seed. Release must not fail; all
-// failure modes belong in Calibrate.
+// failure modes belong in Calibrate. The view a mechanism receives from
+// Release has already been validated (parallel columns, strictly ascending
+// keys): a release is one loop over (Keys[i], Vals[i]) in index order,
+// drawing noise in that order.
 type Mechanism interface {
 	// Name is the registry key ("laplace", "geometric", "pure", "gaussian").
 	Name() string
@@ -235,22 +237,6 @@ func init() {
 	}
 }
 
-// viewAlg1 adapts a ReleaseView to the core.Alg1Sketch interface so the
-// single-stream mechanisms run the exact internal/core release loops —
-// draw for draw — that the deprecated per-type methods ran.
-type viewAlg1 struct{ v *ReleaseView }
-
-func (a viewAlg1) Counters() map[stream.Item]int64 { return a.v.counts }
-func (a viewAlg1) SortedKeys() []stream.Item       { return a.v.Keys }
-func (a viewAlg1) IsDummy(x stream.Item) bool      { return a.v.IsDummy != nil && a.v.IsDummy(x) }
-
-// viewStd adapts a ReleaseView to core.StdSketch for the Section 5.1 path.
-type viewStd struct{ v *ReleaseView }
-
-func (a viewStd) Counters() map[stream.Item]int64 { return a.v.counts }
-func (a viewStd) SortedKeys() []stream.Item       { return a.v.Keys }
-func (a viewStd) K() int                          { return a.v.Sens.K }
-
 // mustEstimate converts an (Estimate, error) pair from a pre-validated
 // internal release into a Histogram. The calibrate/release split guarantees
 // the error is impossible; seeing one means a mechanism validated something
@@ -302,12 +288,11 @@ func (laplaceMechanism) Release(view *ReleaseView, cal *Calibration, seed uint64
 	src := noise.NewSource(seed)
 	switch {
 	case view.Sens.Class == SensitivityMerged:
-		// Every merged-class view is flat (Keys with parallel Vals).
 		return Histogram(merge.ReleaseBoundedColumns(view.Keys, view.Vals, view.Sens.K, p.Eps, p.Delta, src))
 	case view.Sens.Standard:
-		return mustEstimate(core.ReleaseStandard(viewStd{view}, p, src))
+		return mustEstimate(core.ReleaseStandardColumns(view.Keys, view.Vals, view.Sens.K, p, src))
 	default:
-		return mustEstimate(core.Release(viewAlg1{view}, p, src))
+		return mustEstimate(core.ReleaseColumns(view.Keys, view.Vals, view.Sens.Universe, p, src))
 	}
 }
 
@@ -333,7 +318,8 @@ func (geometricMechanism) Calibrate(p Params, s Sensitivity) (*Calibration, erro
 }
 
 func (geometricMechanism) Release(view *ReleaseView, cal *Calibration, seed uint64) Histogram {
-	return mustEstimate(core.ReleaseGeometric(viewAlg1{view}, cal.Impl().(Params), noise.NewSource(seed)))
+	return mustEstimate(core.ReleaseGeometricColumns(view.Keys, view.Vals, view.Sens.Universe,
+		cal.Impl().(Params), noise.NewSource(seed)))
 }
 
 // pureMechanism is the Section 6 pipeline: the Algorithm 3 sensitivity
@@ -366,7 +352,7 @@ func (pureMechanism) Calibrate(p Params, s Sensitivity) (*Calibration, error) {
 
 func (pureMechanism) Release(view *ReleaseView, cal *Calibration, seed uint64) Histogram {
 	eps := cal.Impl().(float64)
-	reduced := puredp.ReduceCounters(view.counts, view.Sens.K)
+	reduced := puredp.ReduceColumns(view.Keys, view.Vals, view.Sens.K)
 	return mustEstimate(puredp.ReleasePure(reduced, eps, view.Sens.Universe, noise.NewSource(seed)))
 }
 
@@ -403,12 +389,7 @@ func (gaussianMechanism) Calibrate(p Params, s Sensitivity) (*Calibration, error
 }
 
 func (gaussianMechanism) Release(view *ReleaseView, cal *Calibration, seed uint64) Histogram {
-	cfg := cal.Impl().(gshm.Config)
-	src := noise.NewSource(seed)
-	if view.Vals != nil {
-		return Histogram(gshm.ReleaseFlat(view.Keys, view.Vals, cfg, src))
-	}
-	return Histogram(gshm.ReleaseSorted(view.counts, view.Keys, cfg, src))
+	return Histogram(gshm.ReleaseFlat(view.Keys, view.Vals, cal.Impl().(gshm.Config), noise.NewSource(seed)))
 }
 
 // describeSens renders a sensitivity for error messages, flagging the

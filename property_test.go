@@ -121,11 +121,11 @@ func TestSketchBatchMatchesSequential(t *testing.T) {
 		a.Update(x)
 	}
 	b.UpdateBatch(str)
-	ha, err := a.Release(Params{Eps: 1, Delta: 1e-6}, 4242)
+	ha, err := Release(a, Params{Eps: 1, Delta: 1e-6}, WithSeed(4242))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := b.Release(Params{Eps: 1, Delta: 1e-6}, 4242)
+	hb, err := Release(b, Params{Eps: 1, Delta: 1e-6}, WithSeed(4242))
 	if err != nil {
 		t.Fatal(err)
 	}

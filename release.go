@@ -75,11 +75,13 @@ type ReleaseResult struct {
 //	h, err := dpmg.Release(sk, dpmg.Params{Eps: 1, Delta: 1e-6},
 //		dpmg.WithMechanism("geometric"), dpmg.WithSeed(seed))
 //
-// The pipeline is: snapshot the sketch's ReleaseView, calibrate the chosen
+// The pipeline is: snapshot the sketch's ReleaseView and validate its
+// layout (parallel columns, strictly ascending keys), calibrate the chosen
 // mechanism for the sketch's sensitivity class (every failure mode
-// surfaces here), charge the Accountant if one was attached, then draw
-// noise and release. The ordering is load-bearing: a calibration error can
-// never spend budget, and a spent budget always yields a histogram.
+// surfaces by here), charge the Accountant if one was attached, then draw
+// noise and release. The ordering is load-bearing: a refused view or a
+// calibration error can never spend budget, and a spent budget always
+// yields a histogram.
 func Release(sk Releasable, p Params, opts ...ReleaseOption) (Histogram, error) {
 	res, err := ReleaseDetailed(sk, p, opts...)
 	if err != nil {
@@ -101,6 +103,9 @@ func ReleaseDetailed(sk Releasable, p Params, opts ...ReleaseOption) (*ReleaseRe
 	}
 	view, err := sk.ReleaseView()
 	if err != nil {
+		return nil, err
+	}
+	if err := view.validate(); err != nil {
 		return nil, err
 	}
 	name := cfg.mechanism

@@ -1,10 +1,9 @@
 package dpmg
 
-// Cross-API release determinism: the deprecated per-type Release* wrappers
-// and the unified Release entry point must produce byte-identical
-// histograms for every mechanism under the same seed. These goldens are
-// what lets the wrappers be "thin": any drift in view construction, noise
-// draw order, or calibration between the two paths shows up here.
+// The unified release API: the mechanism registry and sensitivity matrix,
+// accountant metering of every Releasable, calibration and view refusals
+// that spend nothing, top-k cuts, metadata, and custom mechanisms. Literal
+// released values are pinned by TestReleaseGolden.
 
 import (
 	"errors"
@@ -17,11 +16,11 @@ import (
 func identical(t *testing.T, label string, want, got Histogram) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: support drift: deprecated %d items, unified %d", label, len(want), len(got))
+		t.Fatalf("%s: support drift: want %d items, got %d", label, len(want), len(got))
 	}
 	for x, v := range want {
 		if got[x] != v {
-			t.Fatalf("%s: value drift at item %d: deprecated %v, unified %v", label, x, v, got[x])
+			t.Fatalf("%s: value drift at item %d: want %v, got %v", label, x, v, got[x])
 		}
 	}
 }
@@ -30,168 +29,6 @@ func loadedSketch(seed uint64) *Sketch {
 	sk := NewSketch(32, 500)
 	sk.UpdateBatch(workload.HeavyTail(80000, 500, 4, 0.85, seed))
 	return sk
-}
-
-func TestUnifiedMatchesDeprecatedSketch(t *testing.T) {
-	sk := loadedSketch(1)
-	p := Params{Eps: 1, Delta: 1e-6}
-	const seed = 9001
-
-	dep, err := sk.Release(p, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := Release(sk, p, WithSeed(seed)) // laplace is the default
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "laplace", dep, uni)
-
-	dep, err = sk.ReleaseGeometric(p, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err = Release(sk, p, WithMechanism(MechanismGeometric), WithSeed(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "geometric", dep, uni)
-
-	dep, err = sk.ReleasePure(1.0, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err = Release(sk, Params{Eps: 1.0}, WithMechanism(MechanismPure), WithSeed(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "pure", dep, uni)
-
-	// gaussian has no deprecated single-stream wrapper; pin determinism of
-	// the unified path against itself instead.
-	g1, err := Release(sk, p, WithMechanism(MechanismGaussian), WithSeed(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := Release(sk, p, WithMechanism(MechanismGaussian), WithSeed(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "gaussian", g1, g2)
-}
-
-func TestUnifiedMatchesDeprecatedStandard(t *testing.T) {
-	sk := NewStandardSketch(16)
-	for _, x := range workload.Zipf(60000, 300, 1.2, 3) {
-		sk.Update(x)
-	}
-	p := Params{Eps: 1, Delta: 1e-6}
-	dep, err := sk.Release(p, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := Release(sk, p, WithSeed(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "standard laplace", dep, uni)
-}
-
-func TestUnifiedMatchesDeprecatedMerged(t *testing.T) {
-	var sums []*MergeableSummary
-	for i := 0; i < 3; i++ {
-		s, err := loadedSketch(uint64(20 + i)).Summary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums = append(sums, s)
-	}
-	merged, err := MergeSummaries(sums...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Params{Eps: 1, Delta: 1e-6}
-
-	dep, err := merged.Release(p, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := Release(merged, p, WithMechanism(MechanismLaplace), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "merged laplace", dep, uni)
-
-	dep, err = merged.ReleaseGaussian(p, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err = Release(merged, p, WithSeed(5)) // gaussian is the merged default
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "merged gaussian", dep, uni)
-}
-
-func TestUnifiedMatchesDeprecatedShardedAndUser(t *testing.T) {
-	sh := NewShardedSketch(4, 32, 500)
-	sh.UpdateBatch(workload.HeavyTail(60000, 500, 3, 0.9, 4))
-	p := Params{Eps: 1, Delta: 1e-6}
-	dep, err := sh.Release(p, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := Release(sh, p, WithSeed(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "sharded gaussian", dep, uni)
-
-	us := NewUserSketch(64, 4)
-	if err := us.AddUsers(workload.UserSets(8000, 300, 4, 1.1, 6)); err != nil {
-		t.Fatal(err)
-	}
-	dep, err = us.Release(p, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err = Release(us, p, WithSeed(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "user gaussian", dep, uni)
-}
-
-func TestUnifiedMatchesDeprecatedString(t *testing.T) {
-	build := func() *StringSketch {
-		s := NewStringSketch(16, 100)
-		queries, dict := workload.QueryLog(30000, 100, 1.3, 8)
-		names := make([]string, len(queries))
-		for i, q := range queries {
-			names[i] = dict.Name(q)
-		}
-		if err := s.UpdateBatch(names); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	p := Params{Eps: 1, Delta: 1e-6}
-	dep, err := build().Release(p, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := build().ReleaseTop(p, WithSeed(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dep) != len(uni) {
-		t.Fatalf("string release length drift: %d vs %d", len(dep), len(uni))
-	}
-	for i := range dep {
-		if dep[i] != uni[i] {
-			t.Fatalf("string release drift at %d: %+v vs %+v", i, dep[i], uni[i])
-		}
-	}
 }
 
 func TestMechanismRegistry(t *testing.T) {
@@ -343,6 +180,73 @@ func TestCalibrationErrorSpendsNothing(t *testing.T) {
 	}
 }
 
+// staticView is a Releasable outside the front-ends: it hands Release a
+// fixed view, the way a third-party sketch would.
+type staticView ReleaseView
+
+func (v *staticView) ReleaseView() (*ReleaseView, error) { return (*ReleaseView)(v), nil }
+
+// TestExternalSingleStreamView: a single-stream view built outside the
+// package releases its real counters under every mechanism calibrated for
+// the class, and never its dummy key (the key above the universe bound).
+func TestExternalSingleStreamView(t *testing.T) {
+	view := &staticView{
+		Keys: []Item{10, 20, 30, 101},
+		Vals: []int64{5000, 3000, 4000, 0},
+		Sens: Sensitivity{Class: SensitivitySingleStream, K: 4, Universe: 100},
+	}
+	for _, mech := range []string{MechanismLaplace, MechanismGeometric, MechanismGaussian} {
+		h, err := Release(view, Params{Eps: 1, Delta: 1e-6}, WithMechanism(mech), WithSeed(7))
+		if err != nil {
+			t.Fatalf("%s: %v", mech, err)
+		}
+		for i, x := range view.Keys[:3] {
+			if got, want := h[x], float64(view.Vals[i]); got < want-200 || got > want+200 {
+				t.Errorf("%s: item %d released as %v, counter is %v", mech, x, got, want)
+			}
+		}
+		if _, ok := h[101]; ok || len(h) != 3 {
+			t.Errorf("%s: released %v, want exactly items 10, 20, 30", mech, h)
+		}
+	}
+}
+
+// TestMalformedViewSpendsNothing: a view whose columns are not parallel, or
+// whose keys are not strictly ascending, is refused before calibration and
+// before the accountant is charged — whatever its class and mechanism.
+func TestMalformedViewSpendsNothing(t *testing.T) {
+	merged := Sensitivity{Class: SensitivityMerged, K: 4}
+	single := Sensitivity{Class: SensitivitySingleStream, K: 4, Universe: 100}
+	cases := []struct {
+		name string
+		view staticView
+	}{
+		{"merged short vals", staticView{Keys: []Item{1, 2, 3}, Vals: []int64{50, 60}, Sens: merged}},
+		{"merged long vals", staticView{Keys: []Item{1, 2}, Vals: []int64{50, 60, 70}, Sens: merged}},
+		{"merged descending", staticView{Keys: []Item{1, 3, 2}, Vals: []int64{50, 60, 70}, Sens: merged}},
+		{"merged duplicate key", staticView{Keys: []Item{1, 2, 2}, Vals: []int64{50, 60, 70}, Sens: merged}},
+		{"single-stream nil vals", staticView{Keys: []Item{10, 20}, Sens: single}},
+		{"single-stream descending", staticView{Keys: []Item{20, 10}, Vals: []int64{5, 6}, Sens: single}},
+		{"single-stream no universe", staticView{Keys: []Item{10, 20}, Vals: []int64{5, 6},
+			Sens: Sensitivity{Class: SensitivitySingleStream, K: 4}}},
+	}
+	for _, c := range cases {
+		for _, mech := range Mechanisms() {
+			acct, err := NewAccountant(Budget{Eps: 10, Delta: 1e-3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Release(&c.view, Params{Eps: 1, Delta: 1e-6}, WithMechanism(mech), WithSeed(1), WithAccountant(acct))
+			if err == nil {
+				t.Errorf("%s/%s: malformed view released", c.name, mech)
+			}
+			if acct.Spent() != (Budget{}) || acct.Releases() != 0 {
+				t.Errorf("%s/%s: refused view charged %+v over %d releases", c.name, mech, acct.Spent(), acct.Releases())
+			}
+		}
+	}
+}
+
 func TestWithTopK(t *testing.T) {
 	sk := loadedSketch(5)
 	p := Params{Eps: 1, Delta: 1e-6}
@@ -439,9 +343,9 @@ func TestContinualMonitorAdHocRelease(t *testing.T) {
 
 // registeredTestMechanism exercises the extensibility path: a custom
 // mechanism registered by name is reachable from Release like a built-in.
-// It reads counters through the layout-agnostic accessors (Count, Counters),
-// so it works identically on map views (single-stream sketches) and flat
-// views (merged/sharded summaries).
+// It reads the view's one layout — Keys with parallel Vals, dummy keys above
+// Sens.Universe on single-stream views — so it works identically on every
+// front-end.
 type registeredTestMechanism struct{}
 
 func (registeredTestMechanism) Name() string { return "test-constant" }
@@ -452,13 +356,10 @@ func (registeredTestMechanism) Calibrate(p Params, s Sensitivity) (*Calibration,
 	return NewCalibration(map[string]float64{"constant": 1}, nil), nil
 }
 func (registeredTestMechanism) Release(view *ReleaseView, cal *Calibration, seed uint64) Histogram {
-	counters := view.Counters() // associative access must agree with Count(i)
 	out := make(Histogram)
 	for i, x := range view.Keys {
-		if view.Count(i) != counters[x] {
-			panic("Count(i) disagrees with Counters()")
-		}
-		if view.Count(i) > 0 && (view.IsDummy == nil || !view.IsDummy(x)) {
+		dummy := view.Sens.Class == SensitivitySingleStream && uint64(x) > view.Sens.Universe
+		if view.Vals[i] > 0 && !dummy {
 			out[x] = 1
 		}
 	}
@@ -476,7 +377,7 @@ func TestRegisterCustomMechanism(t *testing.T) {
 	}
 	sh := NewShardedSketch(4, 32, 500)
 	sh.UpdateBatch(workload.HeavyTail(40000, 500, 3, 0.9, 7))
-	// One map view (sketch) and two flat views (merged summary, sharded):
+	// A single-stream view (sketch) and two merged ones (summary, sharded):
 	// the custom mechanism must see real counters on all of them.
 	for _, target := range []Releasable{sk, sum, sh} {
 		h, err := Release(target, Params{Eps: 1, Delta: 1e-6}, WithMechanism("test-constant"))

@@ -37,6 +37,7 @@ var defaultGate = []string{
 	"internal/baseline",
 	"internal/cluster",
 	"internal/continual",
+	"internal/durable",
 	"internal/core",
 	"internal/encoding",
 	"internal/framing",

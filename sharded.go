@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dpmg/internal/core"
 	"dpmg/internal/merge"
 	"dpmg/internal/mg"
 )
@@ -485,18 +484,6 @@ func (s *ShardedSketch) ReleaseView() (*ReleaseView, error) {
 		Vals: m.Counts(),
 		Sens: Sensitivity{Class: SensitivityMerged, K: s.k, Universe: s.d},
 	}, nil
-}
-
-// Release privatizes the merged shards under (eps, delta)-DP with the
-// Gaussian Sparse Histogram Mechanism (noise ~ sqrt(k)·log(k/delta)/eps).
-//
-// Deprecated: use Release(s, p, WithSeed(seed)) — gaussian is the default
-// mechanism for merged summaries.
-func (s *ShardedSketch) Release(p Params, seed uint64) (Histogram, error) {
-	if err := core.Params(p).Validate(); err != nil {
-		return nil, err
-	}
-	return Release(s, p, WithMechanism(MechanismGaussian), WithSeed(seed))
 }
 
 // snapshotShards deep-copies every shard's full Algorithm 1 state for

@@ -44,7 +44,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 			t.Errorf("item %d: estimate %d vs true %d", x, est, f[x])
 		}
 	}
-	h, err := s.Release(Params{Eps: 1, Delta: 1e-6}, 3)
+	h, err := Release(s, Params{Eps: 1, Delta: 1e-6}, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestShardedValidation(t *testing.T) {
 
 func TestShardedReleaseRejectsBadParams(t *testing.T) {
 	s := NewShardedSketch(2, 8, 10)
-	if _, err := s.Release(Params{Eps: 0, Delta: 0.1}, 1); err == nil {
+	if _, err := Release(s, Params{Eps: 0, Delta: 0.1}, WithSeed(1)); err == nil {
 		t.Error("eps=0 accepted")
 	}
 }

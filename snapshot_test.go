@@ -78,11 +78,11 @@ func TestSnapshotRestoreContinuedIngest(t *testing.T) {
 				x, resumed.Estimate(x), whole.Estimate(x))
 		}
 	}
-	h1, err := whole.Release(Params{Eps: 1, Delta: 1e-6}, 99)
+	h1, err := Release(whole, Params{Eps: 1, Delta: 1e-6}, WithSeed(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := resumed.Release(Params{Eps: 1, Delta: 1e-6}, 99)
+	h2, err := Release(resumed, Params{Eps: 1, Delta: 1e-6}, WithSeed(99))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,11 +113,3 @@ func (s *StringSketch) ReleaseTop(p Params, opts ...ReleaseOption) ([]StringCoun
 	}
 	return out, nil
 }
-
-// Release privatizes the sketch and maps released items back to strings,
-// sorted by descending estimate.
-//
-// Deprecated: use ReleaseTop(p, WithSeed(seed)).
-func (s *StringSketch) Release(p Params, seed uint64) ([]StringCount, error) {
-	return s.ReleaseTop(p, WithSeed(seed))
-}
