@@ -350,7 +350,7 @@ func BenchmarkFaultIn(b *testing.B) {
 
 // maxColdCycleAllocs is the measured allocation count of one evict +
 // fault-in cycle of an 8-shard k=256 stream over a DirStore.
-const maxColdCycleAllocs = 397
+const maxColdCycleAllocs = 243
 
 // BenchmarkShardedRelease is the sharded merge+release pipeline end to end:
 // snapshot 8 shards, k-way merge, Gaussian release. The Gaussian

@@ -154,7 +154,9 @@
 // StreamConfig.PublishEvery ingested items or PublishInterval elapsed.
 // Estimate, N, Stream.Estimate, Stats, and the server's stats/estimate
 // endpoints serve from it: one atomic load plus a binary search, zero
-// locks, zero allocations, bounded staleness (every served value was
+// shard locks, zero allocations (Stream.Estimate also takes the shared
+// side of the stream's lifecycle lock, because an eviction drops the
+// view), bounded staleness (every served value was
 // exact at some publish point, at most PublishEvery items plus one
 // in-flight fold behind the live counters). The view is never nil —
 // construction installs an empty view and restore paths publish

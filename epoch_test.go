@@ -192,7 +192,16 @@ func TestStatsServedFromFreshView(t *testing.T) {
 // batch-aligned, monotone, in-range values (stale is allowed, torn is
 // not), and the exact path must account for every admitted batch at the
 // end.
-func TestEpochReadStorm(t *testing.T) {
+func TestEpochReadStorm(t *testing.T) { epochReadStorm(t, true) }
+
+// TestEpochReadStormEstimateOnly is the storm with estimate readers only.
+// A Stats call republishes the view whenever it has fallen behind, which
+// hid a reader going backwards: Estimate on an offloaded stream used to
+// fault it in and read live counters, and the next Estimate read the older
+// view the fault-in published.
+func TestEpochReadStormEstimateOnly(t *testing.T) { epochReadStorm(t, false) }
+
+func epochReadStorm(t *testing.T, withStats bool) {
 	m, _, _, _ := lifecycleManager(t)
 	if _, _, err := m.CreateStream("s", StreamConfig{}); err != nil {
 		t.Fatal(err)
@@ -247,6 +256,9 @@ func TestEpochReadStorm(t *testing.T) {
 						return
 					}
 					last[w] = est
+				}
+				if !withStats {
+					continue
 				}
 				if _, err := st.Stats(); err != nil {
 					t.Error(err)

@@ -8,16 +8,19 @@ import (
 )
 
 // maxOffloadRecordAllocs pins the allocation ceiling of encoding one
-// 8-shard k=256 offload record into a warmed buffer: per shard, the two
-// key/count columns AppendAll fills plus its sorter. The record buffer
-// itself is reused and must contribute nothing.
-const maxOffloadRecordAllocs = 24
+// 8-shard k=256 offload record from its sketches into a warmed buffer: the
+// key/count column pair every shard's AppendAll reuses, plus one sorter
+// per shard. The record buffer itself is reused and must contribute
+// nothing.
+const maxOffloadRecordAllocs = 10
 
-// BenchmarkOffloadRecord encodes a populated stream offload record the way
-// the lifecycle tier does — AppendStream into a reused buffer — reporting
-// encode throughput and, as the record_bytes metric, the cold-tier
-// footprint of one record (pinned severalfold below the fixed-entry form
-// by TestDeltaRecordSmaller).
+// BenchmarkOffloadRecord encodes a populated stream offload record with
+// AppendStream into a reused buffer, from live shard sketches (the
+// lifecycle tier hands the encoder the same tables already extracted, as
+// ShardWires, so its encode skips the AppendAll this row includes),
+// reporting encode throughput and, as the record_bytes metric, the
+// cold-tier footprint of one record (pinned severalfold below the
+// fixed-entry form by TestDeltaRecordSmaller).
 //
 // MB/s is logical-state throughput: the row divides by the fixed-entry
 // size of the same state, so it stays comparable with the fixed row earlier

@@ -411,13 +411,28 @@ func UnmarshalSummary(r io.Reader) (*merge.Summary, error) {
 // appendSketch appends the full Algorithm 1 state of s (zero and dummy
 // counters included) as a KindCounters blob.
 func appendSketch(dst []byte, s *mg.Sketch, f format) []byte {
-	keys, vals := s.AppendAll(make([]stream.Item, 0, s.K()), make([]int64, 0, s.K()))
+	w := wireOf(s, nil, nil)
+	return appendCounters(dst, &w, f)
+}
+
+// wireOf extracts the full Algorithm 1 state of s into a SketchWire whose
+// columns are appended to keys/vals (pass keys[:0], vals[:0] to reuse
+// capacity).
+func wireOf(s *mg.Sketch, keys []stream.Item, vals []int64) SketchWire {
+	keys, vals = s.AppendAll(keys, vals)
+	return SketchWire{K: s.K(), Universe: s.Universe(), N: s.N(), Decrements: s.Decrements(), Keys: keys, Vals: vals}
+}
+
+// appendCounters appends w as a KindCounters blob: the one Algorithm 1
+// counters writer, fed by live sketches (appendSketch) and by flat columns
+// alike, so both inputs produce the same bytes for the same state.
+func appendCounters(dst []byte, w *SketchWire, f format) []byte {
 	dst = appendHeader(dst, header{
-		Kind: KindCounters, K: uint64(s.K()), Universe: s.Universe(),
-		N: uint64(s.N()), Decrements: uint64(s.Decrements()),
-		Entries: uint64(len(keys)),
+		Kind: KindCounters, K: uint64(w.K), Universe: w.Universe,
+		N: uint64(w.N), Decrements: uint64(w.Decrements),
+		Entries: uint64(len(w.Keys)),
 	}, f)
-	return appendEntries(dst, keys, vals, f)
+	return appendEntries(dst, w.Keys, w.Vals, f)
 }
 
 // MarshalSketch writes the full Algorithm 1 state (including zero and
@@ -428,9 +443,10 @@ func MarshalSketch(w io.Writer, s *mg.Sketch) error {
 	return err
 }
 
-// SketchWire is the decoded full Algorithm 1 state. The counter table is
-// held as flat parallel columns in strictly ascending key order — the wire
-// order — so a restore hands it straight to mg.RestoreColumns.
+// SketchWire is the full Algorithm 1 state as flat parallel columns in
+// strictly ascending key order — the wire order — so a restore hands it
+// straight to mg.RestoreColumns. Decoders fill it, and a stream record's
+// encoder takes it as input (StreamState.ShardWires).
 type SketchWire struct {
 	K          int
 	Universe   uint64
@@ -440,8 +456,11 @@ type SketchWire struct {
 	Vals       []int64
 }
 
-// sketch consumes one KindCounters blob in either entry format.
-func (c *cursor) sketch() (*SketchWire, format) {
+// counters consumes one KindCounters blob in either entry format into w,
+// appending its columns to keys/vals and returning the extended slices;
+// w's columns are the appended range, capacity-clipped so a later append
+// to either scratch can never write into them.
+func (c *cursor) counters(w *SketchWire, keys []stream.Item, vals []int64) (format, []stream.Item, []int64) {
 	h, f := c.header()
 	switch {
 	case c.err != nil:
@@ -452,14 +471,16 @@ func (c *cursor) sketch() (*SketchWire, format) {
 	case h.Entries != h.K:
 		c.fail("encoding: Algorithm 1 state must hold exactly k=%d entries, got %d", h.K, h.Entries)
 	}
-	keys, vals := c.entries(h.Entries, f, 0, nil, nil)
+	base := len(keys)
+	keys, vals = c.entries(h.Entries, f, 0, keys, vals)
 	if c.err != nil {
-		return nil, 0
+		return 0, keys, vals
 	}
-	return &SketchWire{
-		K: int(h.K), Universe: h.Universe, N: int64(h.N),
-		Decrements: int64(h.Decrements), Keys: keys, Vals: vals,
-	}, f
+	*w = SketchWire{
+		K: int(h.K), Universe: h.Universe, N: int64(h.N), Decrements: int64(h.Decrements),
+		Keys: keys[base:len(keys):len(keys)], Vals: vals[base:len(vals):len(vals)],
+	}
+	return f, keys, vals
 }
 
 // UnmarshalSketch reads r to EOF and decodes the Algorithm 1 state at its
@@ -470,8 +491,11 @@ func UnmarshalSketch(r io.Reader) (*SketchWire, error) {
 		return nil, err
 	}
 	c := cursor{p: p}
-	s, _ := c.sketch()
-	return s, c.err
+	var s SketchWire
+	if c.counters(&s, nil, nil); c.err != nil {
+		return nil, c.err
+	}
+	return &s, nil
 }
 
 // MarshalItems writes a raw batch of stream items as consecutive 8-byte

@@ -34,10 +34,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"dpmg/internal/merge"
 	"dpmg/internal/mg"
+	"dpmg/internal/stream"
 )
 
 const (
@@ -56,10 +58,16 @@ const (
 )
 
 // StreamState is one stream's record in a manager snapshot. The marshal
-// side fills ShardSketches with the live per-shard sketches; the unmarshal
-// side leaves it nil and fills ShardWires with the decoded, validated
-// Algorithm 1 states instead (the caller owns turning wires back into live
-// sketches, universe checks included).
+// side takes the per-shard Algorithm 1 states from exactly one of two
+// inputs: ShardWires, flat columns (what the lifecycle tier extracts under
+// each shard lock), or ShardSketches, live sketches whose tables are
+// extracted at encode time. Both produce the same bytes for the same state.
+// A record that sets both is encoded only when every sketch holds exactly
+// its wire's state — the case of a decoded record whose sketches were
+// restored from its own wires — and refused otherwise. The unmarshal side
+// fills ShardWires with the decoded, validated Algorithm 1 states and leaves
+// ShardSketches nil (the caller owns turning wires back into live sketches,
+// universe checks included), so a decoded record is valid marshal input.
 type StreamState struct {
 	Name      string
 	K         int
@@ -78,7 +86,7 @@ type StreamState struct {
 	Merged *merge.Summary // merged node aggregate; nil when none
 
 	ShardSketches []*mg.Sketch  // marshal input; one per shard
-	ShardWires    []*SketchWire // unmarshal output; one per shard
+	ShardWires    []*SketchWire // marshal input and unmarshal output; one per shard
 
 	// AggCounters and IngestCounters are the live-counter tallies captured
 	// when a stream is offloaded, so stats can be served while the counters
@@ -120,6 +128,75 @@ func (s *StreamState) validate() error {
 	return nil
 }
 
+// checkShards validates the marshal-side shard input (see StreamState):
+// one Algorithm 1 state per shard, each matching the stream's k and
+// universe, and wires laid out the way the decoder will demand — k
+// entries, parallel columns, strictly ascending keys, non-negative
+// counters — so the codec decodes everything it encodes.
+func (s *StreamState) checkShards() error {
+	if s.ShardWires == nil {
+		if len(s.ShardSketches) != s.Shards {
+			return fmt.Errorf("encoding: stream %q: %d shard sketches for %d shards", s.Name, len(s.ShardSketches), s.Shards)
+		}
+		for i, sk := range s.ShardSketches {
+			if sk.K() != s.K || sk.Universe() != s.Universe {
+				return fmt.Errorf("encoding: stream %q: shard %d is (k=%d, d=%d), stream is (k=%d, d=%d)",
+					s.Name, i, sk.K(), sk.Universe(), s.K, s.Universe)
+			}
+		}
+		return nil
+	}
+	if len(s.ShardWires) != s.Shards {
+		return fmt.Errorf("encoding: stream %q: %d shard wires for %d shards", s.Name, len(s.ShardWires), s.Shards)
+	}
+	if s.ShardSketches != nil && len(s.ShardSketches) != s.Shards {
+		return fmt.Errorf("encoding: stream %q: %d shard sketches beside %d shard wires", s.Name, len(s.ShardSketches), s.Shards)
+	}
+	var keys []stream.Item
+	var vals []int64
+	for i, w := range s.ShardWires {
+		if err := s.checkWire(w); err != nil {
+			return fmt.Errorf("encoding: stream %q: shard %d: %w", s.Name, i, err)
+		}
+		if s.ShardSketches == nil {
+			continue
+		}
+		sw := wireOf(s.ShardSketches[i], keys[:0], vals[:0])
+		keys, vals = sw.Keys, sw.Vals
+		if !sameWire(&sw, w) {
+			return fmt.Errorf("encoding: stream %q: shard %d: sketch and wire hold different states", s.Name, i)
+		}
+	}
+	return nil
+}
+
+// checkWire validates one marshal-side wire against the stream.
+func (s *StreamState) checkWire(w *SketchWire) error {
+	switch {
+	case w == nil:
+		return fmt.Errorf("missing wire")
+	case w.K != s.K || w.Universe != s.Universe:
+		return fmt.Errorf("wire is (k=%d, d=%d), stream is (k=%d, d=%d)", w.K, w.Universe, s.K, s.Universe)
+	case len(w.Keys) != w.K || len(w.Vals) != len(w.Keys):
+		return fmt.Errorf("Algorithm 1 state must hold exactly k=%d keys and counters, got %d and %d", w.K, len(w.Keys), len(w.Vals))
+	}
+	for i, x := range w.Keys {
+		if i > 0 && x <= w.Keys[i-1] {
+			return fmt.Errorf("keys not strictly ascending at %d", i)
+		}
+		if w.Vals[i] < 0 {
+			return fmt.Errorf("negative counter %d for key %d", w.Vals[i], x)
+		}
+	}
+	return nil
+}
+
+// sameWire reports whether a and b hold the same Algorithm 1 state.
+func sameWire(a, b *SketchWire) bool {
+	return a.K == b.K && a.Universe == b.Universe && a.N == b.N && a.Decrements == b.Decrements &&
+		slices.Equal(a.Keys, b.Keys) && slices.Equal(a.Vals, b.Vals)
+}
+
 func appendString(dst []byte, s string) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
 	return append(dst, s...)
@@ -134,14 +211,8 @@ func appendStreamRecord(dst []byte, s *StreamState, f format) ([]byte, error) {
 	if err := s.validate(); err != nil {
 		return dst, err
 	}
-	if len(s.ShardSketches) != s.Shards {
-		return dst, fmt.Errorf("encoding: stream %q: %d shard sketches for %d shards", s.Name, len(s.ShardSketches), s.Shards)
-	}
-	for i, sk := range s.ShardSketches {
-		if sk.K() != s.K || sk.Universe() != s.Universe {
-			return dst, fmt.Errorf("encoding: stream %q: shard %d is (k=%d, d=%d), stream is (k=%d, d=%d)",
-				s.Name, i, sk.K(), sk.Universe(), s.K, s.Universe)
-		}
+	if err := s.checkShards(); err != nil {
+		return dst, err
 	}
 	dst = appendString(dst, s.Name)
 	for _, v := range [...]uint64{uint64(s.K), s.Universe, uint64(s.Shards)} {
@@ -159,17 +230,26 @@ func appendStreamRecord(dst []byte, s *StreamState, f format) ([]byte, error) {
 	} else {
 		dst = appendSummary(append(dst, 1), s.Merged, f)
 	}
+	if s.ShardWires != nil {
+		for _, w := range s.ShardWires {
+			dst = appendCounters(dst, w, f)
+		}
+		return dst, nil
+	}
+	var w SketchWire
 	for _, sk := range s.ShardSketches {
-		dst = appendSketch(dst, sk, f)
+		w = wireOf(sk, w.Keys[:0], w.Vals[:0])
+		dst = appendCounters(dst, &w, f)
 	}
 	return dst, nil
 }
 
 // streamRecord consumes and validates one stream record, filling
-// ShardWires. Every nested blob must carry the enclosing document's format
-// f — a mixed record would re-encode to different bytes, breaking
-// canonicality. The caller labels c.err with the record's name.
-func (c *cursor) streamRecord(f format) StreamState {
+// ShardWires with columns appended to keys/vals (see counters). Every
+// nested blob must carry the enclosing document's format f — a mixed record
+// would re-encode to different bytes, breaking canonicality. The caller
+// labels c.err with the record's name.
+func (c *cursor) streamRecord(f format, keys []stream.Item, vals []int64) (StreamState, []stream.Item, []int64) {
 	var s StreamState
 	s.Name = c.str(maxNameLen)
 	k, universe, shards := c.u64(), c.u64(), c.u64()
@@ -197,7 +277,7 @@ func (c *cursor) streamRecord(f format) StreamState {
 		c.fail("encoding: bad aggregate flag %d", present[0])
 	}
 	if c.err != nil {
-		return s
+		return s, keys, vals
 	}
 	s.K, s.Universe, s.Shards = int(k), universe, int(shards)
 	if present[0] == 1 {
@@ -206,9 +286,18 @@ func (c *cursor) streamRecord(f format) StreamState {
 			c.fail("encoding: aggregate: nested format %d does not match record format %d", sf, f)
 		}
 	}
+	// Size the columns for every shard at once when the bytes present can
+	// hold that many entries (a delta entry takes at least 2), so a crafted
+	// shard count cannot drive the allocation.
+	if n := shards * k; n <= uint64(len(c.p)/2) {
+		keys, vals = slices.Grow(keys, int(n)), slices.Grow(vals, int(n))
+	}
+	wires := make([]SketchWire, s.Shards)
 	s.ShardWires = make([]*SketchWire, s.Shards)
-	for j := range s.ShardWires {
-		w, wf := c.sketch()
+	for j := range wires {
+		var wf format
+		wf, keys, vals = c.counters(&wires[j], keys, vals)
+		w := &wires[j]
 		switch {
 		case c.err != nil:
 		case wf != f:
@@ -218,19 +307,20 @@ func (c *cursor) streamRecord(f format) StreamState {
 				j, w.K, w.Universe, s.K, s.Universe)
 		}
 		if c.err != nil {
-			return s
+			return s, keys, vals
 		}
 		s.ShardWires[j] = w
 	}
 	if err := s.validate(); err != nil {
 		c.fail("%w", err)
 	}
-	return s
+	return s, keys, vals
 }
 
 // appendManager appends a manager snapshot. Streams may arrive in any
 // order; they are written in ascending name order (the canonical record
-// order). Each stream's ShardSketches must hold exactly Shards sketches.
+// order). Each stream must carry exactly Shards shard states (see
+// StreamState).
 func appendManager(dst []byte, streams []StreamState) ([]byte, error) {
 	sorted := make([]*StreamState, len(streams))
 	for i := range streams {
@@ -267,7 +357,8 @@ func MarshalManager(w io.Writer, streams []StreamState) error {
 // structure (the summary and per-shard sketch decoders run their own
 // structural checks) plus the cross-record invariants: strictly ascending
 // stream names, per-stream k/universe agreement, finite budget values. The
-// returned records carry decoded ShardWires; ShardSketches is nil.
+// returned records carry decoded ShardWires, each record's columns in
+// storage of its own; ShardSketches is nil.
 func decodeManager(p []byte) ([]StreamState, error) {
 	c := cursor{p: p}
 	h, f := c.header()
@@ -294,7 +385,7 @@ func decodeManager(p []byte) ([]StreamState, error) {
 	}
 	out := make([]StreamState, 0, h.Entries)
 	for i := uint64(0); i < h.Entries; i++ {
-		s := c.streamRecord(formatFixed)
+		s, _, _ := c.streamRecord(formatFixed, nil, nil)
 		if c.err != nil {
 			return nil, fmt.Errorf("encoding: stream %d (%q): %w", i, s.Name, c.err)
 		}
@@ -360,8 +451,21 @@ func MarshalStream(w io.Writer, s *StreamState) error {
 // DecodeStream decodes a standalone stream offload record in either entry
 // format, validating the header, the nested structures, and the counter
 // trailer, and rejecting trailing bytes — the same fail-loudly discipline
-// as a manager snapshot.
+// as a manager snapshot. The returned record owns its storage.
 func DecodeStream(p []byte) (*StreamState, error) {
+	s, _, _, err := DecodeStreamColumns(p, nil, nil)
+	return s, err
+}
+
+// DecodeStreamColumns is DecodeStream with the shard columns decoded into
+// caller scratch (append semantics — pass keys[:0], vals[:0] to reuse
+// capacity): the returned ShardWires' columns alias the extended scratch,
+// which is also returned, on error too, so a pooling caller keeps its
+// capacity. The wires are valid until the scratch is reused; the merged
+// aggregate never aliases it. This is the fault-in path's decode, which
+// copies the columns into sketches (mg.RestoreColumns) and hands the
+// scratch back.
+func DecodeStreamColumns(p []byte, keys []stream.Item, vals []int64) (*StreamState, []stream.Item, []int64, error) {
 	c := cursor{p: p}
 	h, f := c.header()
 	switch {
@@ -373,18 +477,18 @@ func DecodeStream(p []byte) (*StreamState, error) {
 	case h.Entries != 1:
 		c.fail("encoding: stream offload record must hold exactly 1 stream, got %d", h.Entries)
 	}
-	s := c.streamRecord(f)
+	s, keys, vals := c.streamRecord(f, keys, vals)
 	agg, ingest := c.u64(), c.u64()
 	switch {
 	case c.err != nil:
-		return nil, fmt.Errorf("encoding: stream %q: %w", s.Name, c.err)
+		return nil, keys, vals, fmt.Errorf("encoding: stream %q: %w", s.Name, c.err)
 	case agg > uint64(s.K) || ingest > uint64(s.K):
-		return nil, fmt.Errorf("encoding: stream %q: resident counter tallies (%d, %d) exceed k=%d", s.Name, agg, ingest, s.K)
+		return nil, keys, vals, fmt.Errorf("encoding: stream %q: resident counter tallies (%d, %d) exceed k=%d", s.Name, agg, ingest, s.K)
 	case len(c.p) != 0:
-		return nil, fmt.Errorf("encoding: trailing bytes after stream offload record")
+		return nil, keys, vals, fmt.Errorf("encoding: trailing bytes after stream offload record")
 	}
 	s.AggCounters, s.IngestCounters = int(agg), int(ingest)
-	return &s, nil
+	return &s, keys, vals, nil
 }
 
 // UnmarshalStream reads r to EOF and decodes it with DecodeStream.

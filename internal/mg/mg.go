@@ -116,31 +116,38 @@ func New(k int, d uint64) *Sketch {
 	if d == 0 {
 		panic("mg: universe size must be positive")
 	}
-	// Index sized to a power of two ≥ 4k keeps the load factor ≤ 1/4, so
-	// probe sequences stay short even right before an eviction.
-	tbl := 4
-	for tbl < 4*k {
-		tbl <<= 1
-	}
-	s := &Sketch{
-		k:        k,
-		universe: d,
-		slots:    make([]slot, k),
-		idx:      make([]int32, tbl),
-		mask:     uint64(tbl - 1),
-		shift:    uint(64 - bits.TrailingZeros(uint(tbl))),
-		nzero:    k,
-		zeros:    make([]int32, k),
-		zSorted:  true, // dummy keys ascend with slot id
-		zspare:   make([]int32, k),
-		passes:   (bits.Len64(d+uint64(k)) + 7) / 8,
-	}
+	s := alloc(k, d)
+	s.nzero = k
+	s.zSorted = true // dummy keys ascend with slot id
 	for i := 0; i < k; i++ {
 		s.slots[i] = slot{key: stream.Item(d + uint64(i+1)), stored: 0}
 		s.zeros[i] = int32(i)
 		s.indexInsert(s.slots[i].key, int32(i))
 	}
 	return s
+}
+
+// alloc returns a sketch with its storage sized for k counters over [1, d]
+// and an empty index; the caller fills the counter table (New with the
+// dummy keys, RestoreColumns with a restored state).
+func alloc(k int, d uint64) *Sketch {
+	// Index sized to a power of two ≥ 4k keeps the load factor ≤ 1/4, so
+	// probe sequences stay short even right before an eviction.
+	tbl := 4
+	for tbl < 4*k {
+		tbl <<= 1
+	}
+	return &Sketch{
+		k:        k,
+		universe: d,
+		slots:    make([]slot, k),
+		idx:      make([]int32, tbl),
+		mask:     uint64(tbl - 1),
+		shift:    uint(64 - bits.TrailingZeros(uint(tbl))),
+		zeros:    make([]int32, k),
+		zspare:   make([]int32, k),
+		passes:   (bits.Len64(d+uint64(k)) + 7) / 8,
+	}
 }
 
 // K returns the sketch size parameter.

@@ -32,6 +32,15 @@ import (
 // precise remaining (eps, delta) budget — because the offload record is
 // the same Algorithm 1 state a Manager.Snapshot persists.
 //
+// Each piece of that work is done once. Evict copies each shard's counter
+// table out once, under the shard lock, into pooled flat columns; checks
+// them with mg.ValidateColumns; encodes the record straight from them; and
+// counts the stub's raw-tier stats tally from them too. It never merges
+// the shards. Fault-in decodes the shard columns into the same kind of
+// pooled scratch and builds each shard's sketch once, with
+// mg.RestoreColumns, inside a ShardedSketch that allocates no fresh tables
+// first. It then publishes synchronously (see shardedFromWires).
+//
 // # Interlock
 //
 // Each stream carries a lifecycle RWMutex: every data operation holds the
@@ -406,24 +415,56 @@ func (s *Stream) acquire() error {
 	}
 }
 
-// recordBufPool recycles the buffers offload records are encoded into;
-// OffloadStore.Save does not keep its data argument. A buffer grown past
-// maxPooledRecordBytes (a routine k=256 record is a few KB) is dropped
-// rather than pooled, so one huge tenant cannot pin its record's size per P.
-var recordBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// coldScratch is the working storage of one evict or fault-in, pooled so
+// the cold tier's steady state reuses it: the encoded record (OffloadStore
+// does not keep Save's data argument), every shard's counter table as one
+// pair of flat columns with the wires that slice them, and the tally's
+// selection buffer. Scratch grown past maxPooledColumns entries (a routine
+// 8-shard k=256 stream needs 2 048) or a record past maxPooledRecordBytes
+// (a routine one is a few KB) is dropped rather than pooled, so one huge
+// tenant cannot pin its size per P.
+type coldScratch struct {
+	rec   []byte
+	keys  []Item
+	vals  []int64
+	wires []encoding.SketchWire
+	ptrs  []*encoding.SketchWire
+	sel   []int64
+}
 
-const maxPooledRecordBytes = 1 << 20
+var coldScratchPool = sync.Pool{New: func() any { return new(coldScratch) }}
+
+const (
+	maxPooledRecordBytes = 1 << 20
+	maxPooledColumns     = 1 << 16
+)
+
+func getColdScratch() *coldScratch { return coldScratchPool.Get().(*coldScratch) }
+
+// putColdScratch returns sc to the pool. Its wires must not be used again:
+// the next evict or fault-in overwrites the columns they slice.
+func putColdScratch(sc *coldScratch) {
+	if cap(sc.rec) <= maxPooledRecordBytes && cap(sc.keys) <= maxPooledColumns && cap(sc.sel) <= maxPooledColumns {
+		coldScratchPool.Put(sc)
+	}
+}
 
 // offloadLocked writes the stream's full durable state to store and drops
 // the in-memory counter structures, leaving the stub. The lifecycle write
 // lock must be held. Offloading an already-offloaded stream is a no-op
 // (idempotent), and because the record encoding is canonical, a repeated
 // offload of unchanged state writes byte-identical records.
+//
+// Each shard's counter table is copied out once, into pooled columns; the
+// record is encoded from those columns, and the raw tier's stats tally is
+// counted from them too, with no merge (see mergedLen).
 func (s *Stream) offloadLocked(store OffloadStore) error {
 	if s.offloaded || s.deleted {
 		return nil
 	}
-	state, err := s.streamState()
+	sc := getColdScratch()
+	defer putColdScratch(sc)
+	state, err := s.streamState(sc)
 	if err != nil {
 		return err
 	}
@@ -433,25 +474,13 @@ func (s *Stream) offloadLocked(store OffloadStore) error {
 	if m := s.merged.Load(); m != nil {
 		agg = m.Len()
 	}
-	ingest := 0
-	if s.ingested.Load() > 0 {
-		sum, err := s.sharded.Load().Summary()
-		if err != nil {
-			return err
-		}
-		ingest = sum.inner.Len()
-	}
+	var ingest int
+	ingest, sc.sel = mergedLen(s.cfg.K, sc.vals, sc.sel)
 	state.AggCounters, state.IngestCounters = agg, ingest
-	bufp := recordBufPool.Get().(*[]byte)
-	defer func() {
-		if cap(*bufp) <= maxPooledRecordBytes {
-			recordBufPool.Put(bufp)
-		}
-	}()
-	if *bufp, err = encoding.AppendStream((*bufp)[:0], &state); err != nil {
+	if sc.rec, err = encoding.AppendStream(sc.rec[:0], &state); err != nil {
 		return err
 	}
-	if err := store.Save(s.name, *bufp); err != nil {
+	if err := store.Save(s.name, sc.rec); err != nil {
 		return err
 	}
 	s.offAgg, s.offIngest = agg, ingest
@@ -467,7 +496,8 @@ func (s *Stream) offloadLocked(store OffloadStore) error {
 // record is left in place as a stale shadow (see the durability notes at
 // the top of this file); bookkeeping and the accountant keep their live
 // stub values, which are identical to the record's — nothing can mutate
-// them while the stream is offloaded.
+// them while the stream is offloaded. The shard columns are decoded into
+// pooled scratch, which the restored sketches copy.
 func (s *Stream) faultInLocked() error {
 	store := s.mgr.store()
 	if store == nil {
@@ -477,7 +507,10 @@ func (s *Stream) faultInLocked() error {
 	if err != nil {
 		return fmt.Errorf("%w: %q: %w", ErrFaultIn, s.name, err)
 	}
-	w, err := encoding.DecodeStream(data)
+	sc := getColdScratch()
+	defer putColdScratch(sc)
+	var w *encoding.StreamState
+	w, sc.keys, sc.vals, err = encoding.DecodeStreamColumns(data, sc.keys[:0], sc.vals[:0])
 	if err != nil {
 		return fmt.Errorf("%w: %q: %w", ErrFaultIn, s.name, err)
 	}
@@ -501,9 +534,11 @@ func (s *Stream) faultInLocked() error {
 
 // shardedFromWires rebuilds a stream's raw-ingest tier from decoded,
 // validated per-shard Algorithm 1 states — the canonical reconstruction
-// shared by manager-snapshot restore and fault-in.
+// shared by manager-snapshot restore and fault-in. Each shard's sketch is
+// built once, by mg.RestoreColumns, which copies the wire's columns.
 func shardedFromWires(cfg StreamConfig, wires []*encoding.SketchWire) (*ShardedSketch, error) {
-	sharded := newSharded(cfg)
+	sharded := newShardedSketch(cfg.Shards, cfg.K, cfg.Universe)
+	sharded.SetPublishEvery(cfg.publishEvery())
 	var total int64
 	for i, sw := range wires {
 		sk, err := mg.RestoreColumns(sw.K, sw.Universe, sw.N, sw.Decrements, sw.Keys, sw.Vals)

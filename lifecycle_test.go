@@ -1104,3 +1104,52 @@ func TestIngestRefundOnFaultInFailure(t *testing.T) {
 		t.Fatalf("ThrottledIngest = %d, want 0 (fault-in failures are not throttles)", lc.ThrottledIngest)
 	}
 }
+
+// TestEvictKeepsIngestCounters: an offloaded stream serves the raw-tier
+// counter tally the evict path counted from the shard columns, and it must
+// equal what the resident stream reported from its merged view just before
+// the evict — on a stream with more positive counters across its shards
+// than k, where the merge's (k+1)-th-value cut decides the count, and on
+// one with fewer.
+func TestEvictKeepsIngestCounters(t *testing.T) {
+	m, _, _, _ := lifecycleManager(t)
+	for _, tc := range []struct {
+		name  string
+		items []Item
+	}{
+		{"wide", workload.Zipf(20000, 1000, 0.8, 5)},
+		{"narrow", []Item{1, 2, 2, 3, 3, 3}},
+	} {
+		st, _, err := m.CreateStream(tc.name, StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.UpdateBatch(tc.items); err != nil {
+			t.Fatal(err)
+		}
+		positive := 0
+		shards := st.sharded.Load().shards
+		for i := range shards {
+			keys, _ := shards[i].sk.AppendReal(nil, nil)
+			positive += len(keys)
+		}
+		if wide := positive > st.Config().K; wide != (tc.name == "wide") {
+			t.Fatalf("%s: %d positive shard counters for k=%d", tc.name, positive, st.Config().K)
+		}
+		before, err := st.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if evicted, err := m.Evict(tc.name); !evicted || err != nil {
+			t.Fatalf("%s: evict: %v %v", tc.name, evicted, err)
+		}
+		after, err := st.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Resident || after.IngestCounters != before.IngestCounters {
+			t.Fatalf("%s: offloaded IngestCounters = %d (resident %v), want %d",
+				tc.name, after.IngestCounters, after.Resident, before.IngestCounters)
+		}
+	}
+}

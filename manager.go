@@ -565,10 +565,11 @@ func (c StreamConfig) qosBurst() int {
 	return 1
 }
 
-// newSharded builds a raw-ingest sketch for cfg with the stream's publish
-// policy applied — every construction site (create, restore, fault-in,
-// cut reset) goes through here so no sketch ever runs with the wrong
-// republish threshold.
+// newSharded builds a fresh raw-ingest sketch for cfg with the stream's
+// publish policy applied — the fresh construction sites (create, cut
+// reset) go through here and the restoring ones (restore, fault-in)
+// through shardedFromWires, which applies the same policy, so no sketch
+// ever runs with the wrong republish threshold.
 func newSharded(cfg StreamConfig) *ShardedSketch {
 	sh := NewShardedSketch(cfg.Shards, cfg.K, cfg.Universe)
 	sh.SetPublishEvery(cfg.publishEvery())
@@ -707,13 +708,17 @@ func (s *Stream) snapshotState() (encoding.StreamState, error) {
 	if s.offloaded {
 		return encoding.StreamState{}, errStreamOffloaded
 	}
-	return s.streamState()
+	// Every record of the snapshot stays live until the table is
+	// marshaled, so each gets scratch of its own.
+	return s.streamState(new(coldScratch))
 }
 
-// streamState captures the stream's durable state. The caller must hold
-// the lifecycle lock (either side) with the stream resident.
-func (s *Stream) streamState() (encoding.StreamState, error) {
-	shards, err := s.sharded.Load().snapshotShards()
+// streamState captures the stream's durable state, with the shard counter
+// tables copied into sc (see ShardedSketch.shardWires); the returned
+// record's ShardWires alias sc. The caller must hold the lifecycle lock
+// (either side) with the stream resident.
+func (s *Stream) streamState(sc *coldScratch) (encoding.StreamState, error) {
+	wires, err := s.sharded.Load().shardWires(sc)
 	if err != nil {
 		return encoding.StreamState{}, err
 	}
@@ -732,8 +737,8 @@ func (s *Stream) streamState() (encoding.StreamState, error) {
 		SpentEps: spent.Eps, SpentDelta: spent.Delta,
 		Releases: int64(releases),
 		Nodes:    nodes, Batches: s.batches.Load(), Ingested: s.ingested.Load(),
-		Merged:        merged,
-		ShardSketches: shards,
+		Merged:     merged,
+		ShardWires: wires,
 	}, nil
 }
 
@@ -1044,31 +1049,41 @@ func (s *Stream) ReleaseDetailed(p Params, opts ...ReleaseOption) (*ReleaseResul
 // disjoint data).
 //
 // When the stream is resident and its raw tier has a published read view,
-// the answer is served from that view — two atomic loads and a binary
-// search, no mutexes, no allocation, and no contention with ingest. The
-// view is bounded-stale (refreshed every PublishEvery items, every
-// PublishInterval of wall time, and at every release-time fold); these
-// reads deliberately do not reset the idle clock, so a dashboard polling
+// the answer is served from that view — the shared side of the lifecycle
+// lock, two atomic loads and a binary search: no shard mutex, no
+// allocation, and no contention with ingest (which holds the same shared
+// side). The view is bounded-stale (refreshed every PublishEvery items,
+// every PublishInterval of wall time, and at every release-time fold);
+// these reads deliberately do not reset the idle clock, so a dashboard polling
 // estimates never keeps a stream hot. Callers that need the item's exact
 // up-to-the-instant count use EstimateExact.
 //
 // The raw tier's view is never nil for a resident stream (construction
 // installs an empty view; fault-in and restore publish synchronously), so
-// resident reads never fall back to the locked path — which is what keeps
-// per-item answers monotone. For an offloaded stream, Estimate takes the
-// exact path (faulting the stream in); if the fault-in fails (for example
-// the offload record was lost) Estimate returns 0 — use ReleaseView or
-// Stats for the error. Prefer ReleaseDetailed for anything leaving the
-// trust boundary.
+// reads never fall back to the locked path — which is what keeps per-item
+// answers monotone. Both tiers are read under the lifecycle read lock,
+// since an eviction clears both. An offloaded stream is faulted in (which
+// stamps the idle clock, as any data access does) and answered from the
+// view the fault-in published, never from live counters: a live read could
+// run ahead of that view and the next Estimate would go backwards. If the
+// fault-in fails (for example the offload record was lost) Estimate returns
+// 0 — use ReleaseView or Stats for the error. Prefer ReleaseDetailed for
+// anything leaving the trust boundary.
 func (s *Stream) Estimate(x Item) int64 {
-	if sh := s.sharded.Load(); sh != nil && sh.pub.Load() != nil {
-		var agg int64
-		if m := s.merged.Load(); m != nil {
-			agg = m.Estimate(x)
+	s.life.RLock()
+	if s.offloaded {
+		s.life.RUnlock()
+		if err := s.acquire(); err != nil {
+			return 0
 		}
-		return agg + sh.Estimate(x)
+		s.touch(s.mgr.now())
 	}
-	return s.EstimateExact(x)
+	defer s.life.RUnlock()
+	var agg int64
+	if m := s.merged.Load(); m != nil {
+		agg = m.Estimate(x)
+	}
+	return agg + s.sharded.Load().Estimate(x)
 }
 
 // Publish synchronously folds the stream's live raw tier and installs a

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dpmg/internal/encoding"
 	"dpmg/internal/merge"
 	"dpmg/internal/mg"
 )
@@ -135,6 +136,18 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // NewShardedSketch returns a sketch with `shards` shards of k counters each
 // over the universe [1, d].
 func NewShardedSketch(shards, k int, d uint64) *ShardedSketch {
+	s := newShardedSketch(shards, k, d)
+	for i := range s.shards {
+		s.shards[i].sk = mg.New(k, d)
+	}
+	return s
+}
+
+// newShardedSketch is the one constructor behind NewShardedSketch and the
+// restore path (shardedFromWires): everything but the shard sketches, which
+// the caller installs before the sketch is used — fresh ones, or restored
+// ones without a throwaway fresh table first.
+func newShardedSketch(shards, k int, d uint64) *ShardedSketch {
 	if shards <= 0 {
 		panic("dpmg: shards must be positive")
 	}
@@ -153,9 +166,6 @@ func NewShardedSketch(shards, k int, d uint64) *ShardedSketch {
 	}
 	if shards&(shards-1) == 0 {
 		s.mask = uint64(shards - 1)
-	}
-	for i := range s.shards {
-		s.shards[i].sk = mg.New(k, d)
 	}
 	// Install the initial (empty) view so the read path never falls back
 	// to the locked walk: mixing fallback reads with view reads would let
@@ -486,30 +496,64 @@ func (s *ShardedSketch) ReleaseView() (*ReleaseView, error) {
 	}, nil
 }
 
-// snapshotShards deep-copies every shard's full Algorithm 1 state for
-// serialization. Each shard is locked only while its counter table is
-// copied out as flat ascending columns (the cross-shard consistency model
-// above applies); the copy is rebuilt outside the lock by
-// mg.RestoreColumns, the canonical reconstruction of a counter table — so
-// two snapshots of equal shard states marshal to equal bytes and carry no
-// insertion-history side channel.
-func (s *ShardedSketch) snapshotShards() ([]*mg.Sketch, error) {
-	out := make([]*mg.Sketch, len(s.shards))
-	keys := make([]Item, 0, s.k)
-	vals := make([]int64, 0, s.k)
+// shardWires copies every shard's full Algorithm 1 state into sc's
+// columns for serialization and returns one wire per shard, slicing them.
+// Each shard is locked only while one AppendAll copies its counter table
+// out as flat ascending columns (the cross-shard consistency model above
+// applies); outside the lock each table passes mg.ValidateColumns, the
+// admission check a restore runs. Ascending columns are the canonical
+// form, so two snapshots of equal shard states marshal to equal bytes and
+// carry no insertion-history side channel.
+func (s *ShardedSketch) shardWires(sc *coldScratch) ([]*encoding.SketchWire, error) {
+	n := len(s.shards)
+	keys := slices.Grow(sc.keys[:0], n*s.k)
+	vals := slices.Grow(sc.vals[:0], n*s.k)
+	if cap(sc.wires) < n {
+		sc.wires = make([]encoding.SketchWire, n)
+		sc.ptrs = make([]*encoding.SketchWire, n)
+	}
+	wires, ptrs := sc.wires[:n], sc.ptrs[:n]
 	for i := range s.shards {
 		sh := &s.shards[i]
+		base := len(keys)
 		sh.mu.Lock()
-		keys, vals = sh.sk.AppendAll(keys[:0], vals[:0])
-		n, decs := sh.sk.N(), sh.sk.Decrements()
+		keys, vals = sh.sk.AppendAll(keys, vals)
+		items, decs := sh.sk.N(), sh.sk.Decrements()
 		sh.mu.Unlock()
-		cp, err := mg.RestoreColumns(s.k, s.d, n, decs, keys, vals)
-		if err != nil {
+		w := &wires[i]
+		*w = encoding.SketchWire{
+			K: s.k, Universe: s.d, N: items, Decrements: decs,
+			Keys: keys[base:len(keys):len(keys)], Vals: vals[base:len(vals):len(vals)],
+		}
+		if err := mg.ValidateColumns(w.K, w.Universe, w.N, w.Decrements, w.Keys, w.Vals); err != nil {
 			return nil, fmt.Errorf("dpmg: shard %d snapshot: %w", i, err)
 		}
-		out[i] = cp
+		ptrs[i] = w
 	}
-	return out, nil
+	sc.keys, sc.vals = keys, vals
+	return ptrs, nil
+}
+
+// mergedLen returns how many counters the merged summary of the shards
+// holds — exactly merge.MergeAll over the shard summaries, then Len — from
+// the shards' full counter tables (vals, zero and dummy counters included)
+// without merging. Shards hold disjoint items, so the merge adds nothing up:
+// its counter vector is every positive counter, and subtracting the
+// (k+1)-th largest value keeps exactly the values strictly above it. sel is
+// selection scratch, returned extended.
+func mergedLen(k int, vals, sel []int64) (int, []int64) {
+	sel = sel[:0]
+	for _, c := range vals {
+		if c > 0 {
+			sel = append(sel, c)
+		}
+	}
+	if len(sel) <= k {
+		return len(sel), sel
+	}
+	slices.Sort(sel)
+	above, _ := slices.BinarySearch(sel, sel[len(sel)-1-k]+1)
+	return len(sel) - above, sel
 }
 
 // Summary extracts the merged non-private summary for further aggregation.

@@ -1,10 +1,15 @@
 package dpmg
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
 	"dpmg/internal/hist"
+	"dpmg/internal/merge"
+	"dpmg/internal/mg"
 	"dpmg/internal/workload"
 )
 
@@ -261,5 +266,102 @@ func TestShardedConcurrentStress(t *testing.T) {
 	}
 	if len(h) == 0 {
 		t.Fatal("release empty after stress ingest")
+	}
+}
+
+// TestMergedLenMatchesMergeAll pins the evict path's raw-tier tally, which
+// is counted from the shards' full counter tables without merging, to what
+// it replaced: the length of the merged shard summaries. Shards hold
+// disjoint items, as a sharded sketch's do. Random shard
+// states draw small counters, so ties at the (k+1)-th largest value are
+// common; real keys are drawn sparsely, so dummy keys stay in most tables;
+// and the fixed cases cover all-zero shards, at most k positive counters,
+// and a tie at the cut.
+func TestMergedLenMatchesMergeAll(t *testing.T) {
+	check := func(name string, k int, shards []*mg.Sketch) {
+		t.Helper()
+		var vals []int64
+		sums := make([]*merge.Summary, len(shards))
+		for i, sk := range shards {
+			_, vals = sk.AppendAll(nil, vals)
+			keys, counts := sk.AppendReal(nil, nil)
+			sum, err := merge.FromSorted(k, keys, counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sums[i] = sum
+		}
+		merged, err := merge.MergeAll(sums)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := mergedLen(k, vals, nil); got != merged.Len() {
+			t.Fatalf("%s: mergedLen = %d, MergeAll(...).Len() = %d (vals %v)", name, got, merged.Len(), vals)
+		}
+	}
+	// disjoint maps r to an item of shard i's own residue class, since a
+	// sharded sketch routes every item to exactly one shard.
+	disjoint := func(i, shards, r int) Item {
+		return Item(1 + i + shards*(r/shards))
+	}
+	// restore builds a k-counter shard over [1, d] holding counts on the
+	// given real keys, dummies filling the rest of the table.
+	restore := func(k int, d uint64, counts map[Item]int64) *mg.Sketch {
+		t.Helper()
+		keys := make([]Item, 0, k)
+		for x := range counts {
+			keys = append(keys, x)
+		}
+		slices.Sort(keys)
+		for i := 1; len(keys) < k; i++ {
+			keys = append(keys, Item(d+uint64(i)))
+		}
+		vals := make([]int64, k)
+		var n int64
+		for i, x := range keys {
+			vals[i] = counts[x]
+			n += vals[i]
+		}
+		sk, err := mg.RestoreColumns(k, d, n, 0, keys, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sk
+	}
+	const d = 60 // a multiple of every shard count drawn, so disjoint stays in [1, d]
+	check("all-zero shards", 4, []*mg.Sketch{mg.New(4, d), mg.New(4, d), mg.New(4, d)})
+	check("at most k positive", 4, []*mg.Sketch{
+		restore(4, d, map[Item]int64{1: 3, 2: 1}), restore(4, d, map[Item]int64{3: 2, 4: 2}),
+	})
+	check("tie at the (k+1)-th value", 2, []*mg.Sketch{
+		restore(2, d, map[Item]int64{1: 5, 2: 3}), restore(2, d, map[Item]int64{3: 3, 4: 3}),
+	})
+	check("tie above the cut", 2, []*mg.Sketch{
+		restore(2, d, map[Item]int64{1: 4, 2: 4}), restore(2, d, map[Item]int64{3: 4, 4: 1}),
+	})
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 2000; trial++ {
+		k := 1 + rng.IntN(6)
+		shards := make([]*mg.Sketch, 1+rng.IntN(5))
+		for i := range shards {
+			counts := make(map[Item]int64)
+			for j := rng.IntN(k + 1); j > 0; j-- {
+				counts[disjoint(i, len(shards), rng.IntN(d))] = int64(rng.IntN(4))
+			}
+			shards[i] = restore(k, d, counts)
+		}
+		check(fmt.Sprintf("trial %d", trial), k, shards)
+	}
+	// Live sketches too, decrement-all steps included.
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.IntN(8)
+		shards := make([]*mg.Sketch, 1+rng.IntN(4))
+		for i := range shards {
+			shards[i] = mg.New(k, d)
+			for j := rng.IntN(200); j > 0; j-- {
+				shards[i].Update(disjoint(i, len(shards), rng.IntN(1+rng.IntN(d))))
+			}
+		}
+		check(fmt.Sprintf("live trial %d", trial), k, shards)
 	}
 }
