@@ -204,7 +204,7 @@ func mergeBenchSummaries(b *testing.B) []*MergeableSummary {
 
 // BenchmarkMergeSummaries is the steady-state trusted-aggregator merge: 8
 // summaries of k=256 folded per iteration through a reused SummaryMerger —
-// the multi-way flat merge with zero allocations per merge.
+// the flat merge tree with zero allocations per merge.
 func BenchmarkMergeSummaries(b *testing.B) {
 	sums := mergeBenchSummaries(b)
 	merger := NewSummaryMerger()

@@ -213,6 +213,45 @@ func TestRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestSummaryOverflowRefused is the regression test for wrapped fold sums:
+// a second summary whose fold would push a counter past int64 is a 400, and
+// the stream keeps the count and node tally the first fold left (the
+// wrapped sum used to be served as a negative estimate).
+func TestSummaryOverflowRefused(t *testing.T) {
+	ts := newTestServer(t, 32, 1, 1e-4)
+	const big = int64(1) << 62
+	s, err := merge.FromSorted(32, []stream.Item{7}, []int64{big})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := encoding.MarshalSummary(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	if resp := post(t, ts.URL+"/v1/streams/default/summary", buf.Bytes()); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first summary status %d, want 202", resp.StatusCode)
+	}
+	if resp := post(t, ts.URL+"/v1/streams/default/summary", buf.Bytes()); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing summary status %d, want 400", resp.StatusCode)
+	}
+	var st statsResponse
+	if err := json.NewDecoder(get(t, ts.URL+"/v1/streams/default/stats").Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Nodes != 1 {
+		t.Errorf("summaries_merged = %d after the refused fold, want 1", st.Nodes)
+	}
+	var est struct {
+		Estimate int64 `json:"estimate"`
+	}
+	if err := json.NewDecoder(get(t, ts.URL+"/v1/streams/default/estimate?item=7").Body).Decode(&est); err != nil {
+		t.Fatal(err)
+	}
+	if est.Estimate != big {
+		t.Errorf("estimate(7) = %d after the refused fold, want %d", est.Estimate, big)
+	}
+}
+
 // TestSummaryHeaderCannotDriveAllocation: a 46-byte body whose header
 // announces k = entries = 2^30 used to make the decoder size 16 GiB of
 // columns before reading an entry. It must be a cheap 400.

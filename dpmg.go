@@ -226,10 +226,12 @@ func (s *MergeableSummary) ReleaseView() (*ReleaseView, error) {
 	}, nil
 }
 
-// MergeSummaries folds the summaries in one multi-way pass with the
-// Agarwal et al. rule; the result summarizes the concatenation of all
-// inputs with error N/(k+1). It allocates a fresh result; steady-state
-// aggregation loops should hold a SummaryMerger.
+// MergeSummaries folds the summaries as one merge node with the Agarwal et
+// al. rule (add all counter vectors, subtract the (k+1)-th largest once);
+// the result summarizes the concatenation of all inputs with error
+// N/(k+1). It errors if a combined counter overflows int64. It allocates a
+// fresh result; steady-state aggregation loops should hold a
+// SummaryMerger.
 func MergeSummaries(summaries ...*MergeableSummary) (*MergeableSummary, error) {
 	if len(summaries) == 0 {
 		return nil, fmt.Errorf("dpmg: no summaries")
@@ -258,7 +260,7 @@ type SummaryMerger struct {
 // NewSummaryMerger returns an empty merger; scratch grows on first use.
 func NewSummaryMerger() *SummaryMerger { return &SummaryMerger{} }
 
-// MergeAll merges the summaries in one multi-way pass. The returned summary
+// MergeAll merges the summaries as MergeSummaries does. The returned summary
 // borrows the merger's scratch: it is valid until the next MergeAll call,
 // and callers that retain it longer must merge into a fresh merger or use
 // MergeSummaries instead. Passing a previous result of this merger back in

@@ -233,6 +233,36 @@ func TestRootDedupHostileInputs(t *testing.T) {
 	assertSameRelease(t, rootMgr, log.twin(t), "s", 42)
 }
 
+// TestRootRefusesOverflowingFold is the regression test for wrapped fold
+// sums: a summary whose fold would push a counter past int64 acks
+// AckBadItem, and the edge's high-water sequence stays at the last fold
+// that happened, so the refused sequence is never deduplicated as folded.
+func TestRootRefusesOverflowingFold(t *testing.T) {
+	rootMgr := testManager(t)
+	root, addr, stop := startRoot(t, rootMgr, nil)
+	defer stop()
+	const big = int64(1) << 62
+	sum := testSummary(t, 64, []stream.Item{7}, []int64{big})
+	e := dialConn(t, addr, "edge-1")
+	defer e.Close()
+
+	mustShip(t, e, "s", 1, sum, framing.AckOK)
+	mustShip(t, e, "s", 2, sum, framing.AckBadItem)
+	if last, err := e.LastSeq("s"); err != nil || last != 1 {
+		t.Fatalf("LastSeq = (%d, %v) after the refused fold, want 1", last, err)
+	}
+	if got := root.Stats().Folded; got != 1 {
+		t.Fatalf("root folded %d summaries, want 1", got)
+	}
+	st := mustStream(t, rootMgr, "s")
+	if got := st.Estimate(7); got != big {
+		t.Fatalf("estimate(7) = %d after the refused fold, want %d", got, big)
+	}
+	if got := st.Nodes(); got != 1 {
+		t.Fatalf("nodes = %d after the refused fold, want 1", got)
+	}
+}
+
 // TestRootRequiresHello pins the protocol gate: aggregation-tier frames
 // before hello refuse with AckNotHello.
 func TestRootRequiresHello(t *testing.T) {

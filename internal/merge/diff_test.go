@@ -1,9 +1,9 @@
 package merge
 
 // Differential tests pinning the flat merge/release tier to its map-based
-// counterparts: the flat multi-way MergeAll must reproduce the map
-// reference's counter table exactly (ref.go is the executable spec, like
-// mg.Ref for the sketch core), and the flat release loop must draw noise in
+// counterparts: the flat MergeAll must reproduce the map reference's
+// counter table exactly (ref_test.go is the executable spec, like mg.Ref
+// for the sketch core), and the flat release loop must draw noise in
 // exactly the order the map loop draws it, so a release through either
 // representation is byte-identical under the same seed.
 
@@ -152,6 +152,103 @@ func TestMergerSelfMergeSafe(t *testing.T) {
 		}
 		if err := equalToRef(got, want); err != nil {
 			t.Fatalf("trial %d: self-merge corrupted: %v", trial, err)
+		}
+	}
+
+	// Wider merges write intermediate sums to both halves of the scratch, so
+	// a previous result must be safe at every input position — and so must
+	// a summary rebound over the tail of one, which starts inside the
+	// scratch rather than at its first element.
+	for n := 2; n <= 9; n++ {
+		for pos := 0; pos < n; pos++ {
+			for _, tail := range []bool{false, true} {
+				k := 2 + rng.IntN(6)
+				var m Merger
+				prev, err := m.MergeAll(randomSummaries(t, rng, n, k, 30))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tail && prev.Len() > 1 {
+					if prev, err = FromSorted(k, prev.Keys()[1:], prev.Counts()[1:]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sums := randomSummaries(t, rng, n, k, 30)
+				sums[pos] = prev.Clone()
+				want := mergeAllRef(sums)
+				sums[pos] = prev
+				got, err := m.MergeAll(sums)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := equalToRef(got, want); err != nil {
+					t.Fatalf("n=%d pos=%d tail=%v: self-merge corrupted: %v", n, pos, tail, err)
+				}
+			}
+		}
+	}
+}
+
+// TestMergeAllMatchesRefTree pins the merge tree to the reference at every
+// input count from 1 to 33, so every shape of lone input at some tree
+// level is covered, over four kinds of input: random sketches, random
+// sketches with empty summaries mixed in, shard-style summaries over
+// disjoint key classes, and summaries that all hold one key set.
+func TestMergeAllMatchesRefTree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 24))
+	var m Merger // reused across counts: scratch reuse must not leak state
+	shapes := []struct {
+		name  string
+		build func(n, k int) []*Summary
+	}{
+		{"random", func(n, k int) []*Summary {
+			return randomSummaries(t, rng, n, k, uint64(2+rng.IntN(40)))
+		}},
+		{"with-empty", func(n, k int) []*Summary {
+			sums := randomSummaries(t, rng, n, k, uint64(2+rng.IntN(40)))
+			for i := range sums {
+				if rng.IntN(3) == 0 {
+					sums[i] = mustSummary(t, k, nil)
+				}
+			}
+			return sums
+		}},
+		{"disjoint", func(n, k int) []*Summary {
+			sums := make([]*Summary, n)
+			for i := range sums {
+				counts := make(map[stream.Item]int64)
+				for r := rng.IntN(k + 1); r > 0; r-- {
+					counts[stream.Item(1+i+n*rng.IntN(3*k))] = 1 + rng.Int64N(20)
+				}
+				sums[i] = mustSummary(t, k, counts)
+			}
+			return sums
+		}},
+		{"same-keys", func(n, k int) []*Summary {
+			sums := make([]*Summary, n)
+			for i := range sums {
+				counts := make(map[stream.Item]int64)
+				for x := 1; x <= k; x++ {
+					counts[stream.Item(x)] = 1 + rng.Int64N(1<<40)
+				}
+				sums[i] = mustSummary(t, k, counts)
+			}
+			return sums
+		}},
+	}
+	for n := 1; n <= 33; n++ {
+		for _, shape := range shapes {
+			for trial := 0; trial < 4; trial++ {
+				sums := shape.build(n, 1+rng.IntN(8))
+				want := mergeAllRef(sums)
+				got, err := m.MergeAll(sums)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := equalToRef(got, want); err != nil {
+					t.Fatalf("%d %s inputs, trial %d: %v", n, shape.name, trial, err)
+				}
+			}
 		}
 	}
 }

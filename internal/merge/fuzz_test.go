@@ -62,13 +62,21 @@ func FuzzMergeErrorBound(f *testing.F) {
 
 // FuzzMergeEquivalence is the merge-tier analogue of mg's
 // FuzzUpdateEquivalence: it builds a random set of summaries from arbitrary
-// bytes and checks that the flat multi-way MergeAll produces exactly the
-// counter table of the map-based reference implementation (ref.go), and
-// that a reused Merger agrees with the package function.
+// bytes and checks that the flat MergeAll produces exactly the counter
+// table of the map-based reference implementation (ref_test.go), and that a
+// reused Merger agrees with the package function. The seeds cover 1, 2, 3,
+// 5 and 33 inputs: odd counts leave a lone input at some tree level.
 func FuzzMergeEquivalence(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 0, 9, 9, 9, 1, 2})
 	f.Add([]byte{1, 7, 0, 7, 0, 7})
 	f.Add([]byte{6, 1, 1, 2, 2, 3, 3, 0, 4, 4, 0, 5, 5, 6})
+	f.Add([]byte{4, 1, 2, 3, 1, 2, 1})
+	f.Add([]byte{2, 1, 2, 3, 0, 4, 5, 0, 6, 7, 0, 1, 1, 0, 3, 8})
+	wide := []byte{5}
+	for part := 0; part < 33; part++ {
+		wide = append(wide, byte(part%7+1), byte(part%5+1), byte(part%3+1), 0)
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 2 {
 			return

@@ -12,17 +12,28 @@
 // ascending order and their positive counts — instead of a Go map. The
 // ascending order is exactly the input-independent release order Section 5.2
 // requires, so the release loops consume a summary without rebuilding or
-// re-sorting anything, and merging becomes a multi-way sorted-slice merge:
-// no hashing, no map iteration, sequential memory access. A Merger reuses
-// its scratch across calls, so the steady-state aggregation loop of a
-// trusted aggregator (merge, release, repeat) performs zero allocations in
-// the merge step. The retired map-based implementation survives as the
-// executable specification in ref.go that differential and fuzz tests check
-// the flat code against.
+// re-sorting anything, and adding counter vectors becomes a sorted-slice
+// merge: no hashing, no map iteration, sequential memory access.
+//
+// # One merge, one subtraction
+//
+// MergeAll adds the inputs' counter vectors over a balanced tree of two-way
+// merges, then subtracts the (k+1)-th largest sum once, at the root. Each
+// tree level is one pass that compares each emitted key once, so a fold
+// (two inputs) is a single pass and a 4-shard release two; the sums are
+// exact integer additions, so the tree's output is the same as any other
+// order of adding up. The (k+1)-th largest value comes from a quickselect whose depth is
+// bounded: a crafted set of counts cannot make it quadratic. A Merger
+// reuses its scratch across calls, so the steady-state aggregation loop of
+// a trusted aggregator (merge, release, repeat) performs zero allocations
+// in the merge step. The retired map-based implementation survives as the
+// executable specification in ref_test.go that differential and fuzz tests
+// check the flat code against.
 package merge
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -188,15 +199,16 @@ func Merge(a, b *Summary) (*Summary, error) {
 	return out.Clone(), nil
 }
 
-// MergeAll merges the summaries in one multi-way pass: all counter vectors
-// are added with a k-way sorted merge and the (k+1)-th largest combined
-// value is subtracted once. Like the pairwise fold it replaces, the result
-// summarizes the concatenation of all inputs with error at most N/(k+1)
-// (the Agarwal et al. bound holds for any merge tree, the single multi-way
-// node included), never overestimates, and preserves the Corollary 18
-// neighbor structure; individual counters may differ from the fold's in
-// either direction within those bounds. It errors on an empty input or
-// mismatched sizes. It allocates a fresh result; steady-state aggregation
+// MergeAll merges the summaries as one Agarwal et al. merge node: all
+// counter vectors are added and the (k+1)-th largest combined value is
+// subtracted once. Unlike a fold of pairwise Merge calls, which subtracts
+// at every step, the result summarizes the concatenation of all inputs
+// with error at most N/(k+1) (the Agarwal et al. bound holds for any merge
+// tree, the single multi-way node included), never overestimates, and
+// preserves the Corollary 18 neighbor structure; individual counters may
+// differ from the fold's in either direction within those bounds. It
+// errors on an empty input, mismatched sizes, or a combined counter that
+// overflows int64. It allocates a fresh result; steady-state aggregation
 // loops should hold a Merger.
 func MergeAll(summaries []*Summary) (*Summary, error) {
 	var m Merger
@@ -207,25 +219,28 @@ func MergeAll(summaries []*Summary) (*Summary, error) {
 	return out.Clone(), nil
 }
 
-// Merger performs multi-way merges into reusable scratch. After the first
-// call its MergeAll performs zero allocations, which makes it the right
-// tool for the trusted-aggregator steady state (merge shard or node
-// summaries, release, repeat). A Merger is not safe for concurrent use.
+// Merger merges summaries into reusable scratch. After the first call its
+// MergeAll performs zero allocations, which makes it the right tool for the
+// trusted-aggregator steady state (merge shard or node summaries, release,
+// repeat). A Merger is not safe for concurrent use.
 type Merger struct {
-	heads []int         // per-input cursor
-	keys  []stream.Item // merged key accumulation, then compacted result
-	vals  []int64       // parallel counts
-	sel   []int64       // scratch for the (k+1)-th largest selection
-	out   Summary       // result header returned by MergeAll
+	// keys and vals each hold two halves as long as the inputs' total: the
+	// levels of the merge tree alternate between the halves, and the result
+	// lands in the first. Two inputs take a single merge, so then keys needs
+	// no second half; the second half of vals is also the selection scratch.
+	keys []stream.Item
+	vals []int64
+	out  Summary // result header returned by MergeAll
 }
 
-// MergeAll merges the summaries in one multi-way pass (see the package
-// function of the same name for semantics). The returned summary borrows
-// the Merger's scratch: it is valid until the next MergeAll call, and
-// callers that retain it longer must Clone it. Feeding a previous result
-// of this Merger back in as an input is safe — the Merger detects the
-// aliasing and moves to fresh scratch (one reallocation) rather than
-// overwrite an input it is still reading.
+// MergeAll merges the summaries (see the package function of the same name
+// for semantics). The returned summary borrows the Merger's scratch: it is
+// valid until the next MergeAll call, and callers that retain it longer
+// must Clone it. Feeding a previous result of this Merger back in as an
+// input, at any position, is safe — the Merger detects that the input lies
+// in its scratch and moves to fresh scratch (one reallocation) rather than
+// overwrite an input it is still reading. On error nothing but the scratch
+// has changed.
 func (m *Merger) MergeAll(summaries []*Summary) (*Summary, error) {
 	if len(summaries) == 0 {
 		return nil, fmt.Errorf("merge: no summaries")
@@ -237,56 +252,38 @@ func (m *Merger) MergeAll(summaries []*Summary) (*Summary, error) {
 			return nil, fmt.Errorf("merge: size mismatch k=%d vs k=%d", k, s.K)
 		}
 		total += s.Len()
-	}
-	for _, s := range summaries {
-		if len(s.keys) > 0 && cap(m.keys) > 0 && &s.keys[0] == &m.keys[:1][0] {
-			// The input borrows our scratch (it is a previous result of this
-			// Merger): hand the arrays over to it and start fresh, so the
-			// multi-way pass below never writes into a slice it reads.
+		if within(m.keys, s.keys) || within(m.vals, s.vals) {
+			// A previous result: leave the arrays to it and start fresh.
 			m.keys, m.vals = nil, nil
-			break
 		}
 	}
-	if cap(m.keys) < total {
-		m.keys = make([]stream.Item, total)
-		m.vals = make([]int64, total)
+	nk := total
+	if len(summaries) > 2 {
+		nk = 2 * total
 	}
-	if cap(m.heads) < len(summaries) {
-		m.heads = make([]int, len(summaries))
+	if cap(m.keys) < nk {
+		m.keys = make([]stream.Item, nk)
 	}
-	heads := m.heads[:len(summaries)]
-	for i := range heads {
-		heads[i] = 0
+	if cap(m.vals) < 2*total {
+		m.vals = make([]int64, 2*total)
 	}
-	// Multi-way merge: repeatedly take the smallest head key across inputs,
-	// summing equal keys. Inputs are few (shards, edge nodes), so a linear
-	// scan of the heads beats a heap's branch misses.
-	keys, vals := m.keys[:0], m.vals[:0]
-	for {
-		best := -1
-		var bk stream.Item
-		for i, s := range summaries {
-			if heads[i] < len(s.keys) {
-				if x := s.keys[heads[i]]; best < 0 || x < bk {
-					best, bk = i, x
-				}
-			}
-		}
-		if best < 0 {
-			break
-		}
-		var sum int64
-		for i, s := range summaries {
-			if h := heads[i]; h < len(s.keys) && s.keys[h] == bk {
-				sum += s.vals[h]
-				heads[i] = h + 1
-			}
-		}
-		keys = append(keys, bk)
-		vals = append(vals, sum)
+	first := cols{m.keys[:total], m.vals[:total]}
+	second := cols{m.keys[total:nk], m.vals[total : 2*total]}
+	sum, ok := addTree(summaries, first, second, 0)
+	if !ok {
+		return nil, fmt.Errorf("merge: a combined counter overflows int64")
 	}
-	// Subtract the (k+1)-th largest combined value and compact in place.
-	if sub := m.kPlusFirstLargest(vals, k); sub > 0 {
+	if len(summaries) == 1 {
+		n := copy(first.keys, sum.keys)
+		copy(first.vals, sum.vals)
+		sum = cols{first.keys[:n], first.vals[:n]}
+	}
+	// Subtract the (k+1)-th largest sum and compact in place.
+	keys, vals := sum.keys, sum.vals
+	if len(vals) > k {
+		sel := second.vals[:len(vals)]
+		copy(sel, vals)
+		sub := KPlusFirstLargest(sel, k)
 		j := 0
 		for i, c := range vals {
 			if c > sub {
@@ -296,25 +293,152 @@ func (m *Merger) MergeAll(summaries []*Summary) (*Summary, error) {
 		}
 		keys, vals = keys[:j], vals[:j]
 	}
-	m.keys, m.vals = keys, vals // prefixes of the backing arrays; caps retained
-	m.out = Summary{K: k, keys: m.keys, vals: m.vals}
+	m.out = Summary{K: k, keys: keys, vals: vals}
 	return &m.out, nil
 }
 
-// kPlusFirstLargest returns the (k+1)-th largest of vals, or 0 when fewer
-// than k+1 values exist (then nothing needs subtracting). It sorts a copy
-// in the Merger's scratch; vals is left untouched.
-func (m *Merger) kPlusFirstLargest(vals []int64, k int) int64 {
+// within reports whether s starts inside buf's backing array.
+func within[T any](buf, s []T) bool {
+	if len(s) == 0 || cap(buf) == 0 {
+		return false
+	}
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return p >= base && p < base+uintptr(cap(buf))*unsafe.Sizeof(s[0])
+}
+
+// cols is a counter vector as parallel key and count columns.
+type cols struct {
+	keys []stream.Item
+	vals []int64
+}
+
+// addTree adds the counter vectors of in over a balanced tree of two-way
+// merges; ok is false if a sum overflows int64. A lone input is its own
+// sum. Otherwise the sum is written to dst from index off and the two
+// subtrees write theirs to other, so no merge writes the buffer it reads.
+// A subtree over inputs of total length n writes only within [off, off+n)
+// of either buffer, and the right subtree starts where the left subtree's
+// sum ends, so each buffer needs only the inputs' total length.
+func addTree(in []*Summary, dst, other cols, off int) (sum cols, ok bool) {
+	if len(in) == 1 {
+		return cols{in[0].keys, in[0].vals}, true
+	}
+	mid := len(in) / 2
+	l, ok := addTree(in[:mid], other, dst, off)
+	if !ok {
+		return cols{}, false
+	}
+	r, ok := addTree(in[mid:], other, dst, off+len(l.keys))
+	if !ok {
+		return cols{}, false
+	}
+	n, ok := merge2(l, r, dst.keys[off:], dst.vals[off:])
+	return cols{dst.keys[off : off+n], dst.vals[off : off+n]}, ok
+}
+
+// merge2 writes the sum of the counter vectors a and b to keys and vals,
+// which must have room for both, and returns its length. ok is false if a
+// sum overflows int64: counts are positive, so a wrapped sum is negative.
+func merge2(a, b cols, keys []stream.Item, vals []int64) (n int, ok bool) {
+	ak, av := a.keys, a.vals[:len(a.keys)]
+	bk, bv := b.keys, b.vals[:len(b.keys)]
+	keys = keys[:len(ak)+len(bk)]
+	vals = vals[:len(keys)]
+	i, j := 0, 0
+	for i < len(ak) && j < len(bk) {
+		x, y := ak[i], bk[j]
+		switch {
+		case x < y:
+			keys[n], vals[n] = x, av[i]
+			i++
+		case x > y:
+			keys[n], vals[n] = y, bv[j]
+			j++
+		default:
+			s := av[i] + bv[j]
+			if s < 0 {
+				return 0, false
+			}
+			keys[n], vals[n] = x, s
+			i++
+			j++
+		}
+		n++
+	}
+	copy(vals[n:], av[i:])
+	n += copy(keys[n:], ak[i:])
+	copy(vals[n:], bv[j:])
+	n += copy(keys[n:], bk[j:])
+	return n, true
+}
+
+// KPlusFirstLargest returns the (k+1)-th largest of vals — the value an
+// Agarwal et al. merge subtracts — or 0 when vals holds at most k values
+// (then nothing is subtracted). It reorders vals in place: callers pass
+// scratch.
+func KPlusFirstLargest(vals []int64, k int) int64 {
 	if len(vals) <= k {
 		return 0
 	}
-	if cap(m.sel) < len(vals) {
-		m.sel = make([]int64, len(vals))
+	v, _ := selectNth(vals, len(vals)-1-k)
+	return v
+}
+
+// selectNth returns the value at index nth of a sorted copy of a, reordering
+// a. It is a quickselect: each round orders the first, middle and last
+// values, partitions around their median Hoare-style — equal values stop
+// both scans, so runs of equal counts split evenly — and keeps the side
+// holding nth. Short ranges are finished by insertion sort. After
+// 2·bits.Len(len(a)) rounds it sorts the range still left and reports
+// fellBack: that bounds the cost at O(n log n) for counts crafted to defeat
+// the pivot rule.
+func selectNth(a []int64, nth int) (v int64, fellBack bool) {
+	lo, hi := 0, len(a)
+	for rounds := 2 * bits.Len(uint(len(a))); hi-lo > 12; rounds-- {
+		if rounds == 0 {
+			slices.Sort(a[lo:hi])
+			return a[nth], true
+		}
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi-1] < a[mid] {
+			a[hi-1], a[mid] = a[mid], a[hi-1]
+			if a[mid] < a[lo] {
+				a[mid], a[lo] = a[lo], a[mid]
+			}
+		}
+		// a[lo] <= p <= a[hi-1] stop the scans at the ends.
+		p := a[mid]
+		i, j := lo, hi-1
+		for {
+			for i++; a[i] < p; i++ {
+			}
+			for j--; a[j] > p; j-- {
+			}
+			if i >= j {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+		}
+		// a[lo:j+1] <= p <= a[i:hi], and anything between equals p.
+		switch {
+		case nth < min(i, j+1):
+			hi = min(i, j+1)
+		case nth >= max(i, j+1):
+			lo = max(i, j+1)
+		default:
+			return p, false
+		}
 	}
-	sel := m.sel[:len(vals)]
-	copy(sel, vals)
-	slices.Sort(sel)
-	return sel[len(sel)-1-k]
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
+	return a[nth], false
 }
 
 // CheckNeighborStructure verifies the Lemma 17 / Corollary 18 invariant on

@@ -508,8 +508,8 @@ type Stream struct {
 	merged atomic.Pointer[merge.Summary] // node aggregate; immutable values, lock-free loads
 	nodes  int64
 
-	// Reusable fold scratch for FoldSummary (guarded by mu): the multi-way
-	// merger amortizes its working arrays across folds, and foldIn avoids a
+	// Reusable fold scratch for FoldSummary (guarded by mu): the merger
+	// amortizes its working arrays across folds, and foldIn avoids a
 	// per-fold input-slice allocation. The merger's output is never
 	// published directly — FoldSummary clones it — so the scratch never
 	// aliases a value a lock-free reader could hold.

@@ -216,6 +216,43 @@ func TestStreamSummaryAndBatchCombine(t *testing.T) {
 	}
 }
 
+// TestFoldSummaryOverflowRefused is the regression test for wrapped fold
+// sums: folding two one-key summaries of count 2^62 used to leave the
+// counter at -2^63, which Estimate and ReleaseView then served. The second
+// fold must fail with the aggregate and the node count as the first fold
+// left them.
+func TestFoldSummaryOverflowRefused(t *testing.T) {
+	m := testManager(t)
+	st, _, err := m.CreateStream("s", StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const big = int64(1) << 62
+	sum, err := NewMergeableSummarySorted(32, []Item{7}, []int64{big})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.FoldSummary(sum); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.FoldSummary(sum); err == nil {
+		t.Fatal("overflowing fold accepted")
+	}
+	if got := st.Estimate(7); got != big {
+		t.Fatalf("estimate(7) = %d after the refused fold, want %d", got, big)
+	}
+	if got := st.Nodes(); got != 1 {
+		t.Fatalf("nodes = %d after the refused fold, want 1", got)
+	}
+	view, err := st.ReleaseView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(view.Vals) != 1 || view.Vals[0] != big {
+		t.Fatalf("release view counts %v, want [%d]", view.Vals, big)
+	}
+}
+
 // TestManagerCrossStreamStress is the -race harness for the no-shared-mutex
 // claim: goroutines hammer distinct streams with batch and single-item
 // ingest while others release, read stats, snapshot the manager, and churn

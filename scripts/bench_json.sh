@@ -45,9 +45,10 @@ run ./internal/mg 'BenchmarkZeroOrder$'
 # the epoch read path (atomic load + binary search, 0 allocs); the locked
 # row is the pre-epoch shard-mutex baseline it is measured against.
 run . 'BenchmarkEstimateUnderIngest'
-# Merge/release tier: steady-state multi-way merge and the release loops.
+# Merge/release tier: steady-state merges and the release loops. The
+# MergeFold row is one root fold at the fanin-fold workload's shape.
 run . 'BenchmarkMergeSummaries$|BenchmarkMergeSummariesOneShot$|BenchmarkShardedRelease$|BenchmarkRelease$'
-run ./internal/merge 'BenchmarkMergeAllWide$|BenchmarkReleaseBounded$'
+run ./internal/merge 'BenchmarkMergeAllWide$|BenchmarkMergeFold$|BenchmarkReleaseBounded$'
 # Lifecycle tier: the offloaded-tenant cold start (delta record decode +
 # canonical sketch reconstruction) and the cold-tier record encode with its
 # footprint (record_bytes of one delta-varint offload record). Both
@@ -87,7 +88,7 @@ run ./internal/cluster 'BenchmarkClusterFanIn' -cpu="$(cpu_list 1,4,8)"
 for required in BenchmarkServerStreamIngest BenchmarkServerHTTPIngestE2E BenchmarkServerBatchIngest \
                 BenchmarkClusterFanIn/single BenchmarkClusterFanIn/parallel BenchmarkClusterFanIn/serial \
                 BenchmarkEstimateUnderIngest/published BenchmarkEstimateUnderIngest/locked \
-                BenchmarkFaultIn BenchmarkOffloadRecord/delta \
+                BenchmarkFaultIn BenchmarkOffloadRecord/delta BenchmarkMergeFold \
                 BenchmarkSketchUpdateServing BenchmarkZeroOrder/n=16 BenchmarkZeroOrder/n=64 \
                 BenchmarkZeroOrder/n=205 BenchmarkZeroOrder/n=256; do
   if ! grep -q "^${required}" "$TMP"; then

@@ -410,10 +410,10 @@ func (s *ShardedSketch) publishLocked(m *merge.Summary) {
 	s.pending.Store(0)
 }
 
-// merged folds the shard summaries with one multi-way pass; each shard
+// merged folds the shard summaries with one merge node; each shard
 // contributes at most k counters and items are disjoint across shards. The
 // shards are summarized concurrently (flat extraction under each shard's
-// lock, ascending key order) and the k-way merge runs on reusable scratch.
+// lock, ascending key order) and the merge runs on reusable scratch.
 // The returned summary borrows that scratch: callers must finish with it —
 // or Clone it — before relMu is released.
 func (s *ShardedSketch) merged() (*merge.Summary, error) {
@@ -551,9 +551,13 @@ func mergedLen(k int, vals, sel []int64) (int, []int64) {
 	if len(sel) <= k {
 		return len(sel), sel
 	}
-	slices.Sort(sel)
-	above, _ := slices.BinarySearch(sel, sel[len(sel)-1-k]+1)
-	return len(sel) - above, sel
+	sub, above := merge.KPlusFirstLargest(sel, k), 0
+	for _, c := range sel {
+		if c > sub {
+			above++
+		}
+	}
+	return above, sel
 }
 
 // Summary extracts the merged non-private summary for further aggregation.
