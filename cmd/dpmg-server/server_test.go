@@ -445,6 +445,11 @@ func TestMultiStreamLifecycle(t *testing.T) {
 	if resp := createStream(t, ts.URL, `{"name":"edge-eu","k":128,"universe":5000,"eps":2,"delta":1e-5}`); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("conflicting create status %d", resp.StatusCode)
 	}
+	// A universe within k of 2^64 would wrap the dummy keys d+1..d+k into
+	// the universe: 400, and no stream (the list below counts them).
+	if resp := createStream(t, ts.URL, `{"name":"wide","k":256,"universe":18446744073709551515}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("wrapping-universe create status %d", resp.StatusCode)
+	}
 	// Defaults inherited from server flags.
 	if resp := createStream(t, ts.URL, `{"name":"edge-us"}`); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("defaulted create status %d", resp.StatusCode)

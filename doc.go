@@ -191,7 +191,7 @@
 // counter-map sweep per decrement, the flat core pays a single offset
 // increment plus an amortized O(1) zero-census scan (Fact 7 bounds
 // decrement steps by n/(k+1)). The map-based implementation survives as
-// the test-only reference (internal/mg.Ref) that differential and fuzz
+// the test-only reference (internal/mg/mgref.Ref) that differential and fuzz
 // harnesses check the flat core against, observable for observable.
 //
 // The merge and release tier is flat too: mergeable summaries are sorted

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dpmg/internal/mg"
+	"dpmg/internal/mg/mgref"
 	"dpmg/internal/noise"
 	"dpmg/internal/stream"
 	"dpmg/internal/workload"
@@ -33,7 +34,7 @@ func TestReleaseFlatMatchesRef(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			flat := mg.New(c.k, c.d)
-			ref := mg.NewRef(c.k, c.d)
+			ref := mgref.NewRef(c.k, c.d)
 			for _, x := range c.str {
 				flat.Update(x)
 				ref.Update(x)

@@ -9,10 +9,9 @@ import (
 
 // maxOffloadRecordAllocs pins the allocation ceiling of encoding one
 // 8-shard k=256 offload record from its sketches into a warmed buffer: the
-// key/count column pair every shard's AppendAll reuses, plus one sorter
-// per shard. The record buffer itself is reused and must contribute
-// nothing.
-const maxOffloadRecordAllocs = 10
+// key/count column pair every shard's AppendAll reuses. The record buffer
+// itself is reused and must contribute nothing.
+const maxOffloadRecordAllocs = 2
 
 // BenchmarkOffloadRecord encodes a populated stream offload record with
 // AppendStream into a reused buffer, from live shard sketches (the

@@ -111,6 +111,9 @@ func (s *StreamState) validate() error {
 	if s.Universe == 0 {
 		return fmt.Errorf("encoding: stream %q: universe must be positive", s.Name)
 	}
+	if s.Universe > math.MaxUint64-uint64(s.K) {
+		return fmt.Errorf("encoding: stream %q: universe %d leaves no room for k=%d dummy keys", s.Name, s.Universe, s.K)
+	}
 	if s.Shards <= 0 || s.Shards > maxShards {
 		return fmt.Errorf("encoding: stream %q: shard count %d outside [1,%d]", s.Name, s.Shards, maxShards)
 	}

@@ -2,7 +2,12 @@ package encoding
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
+
+	"dpmg/internal/mg"
+	"dpmg/internal/stream"
 )
 
 // streamFixture is one stream state with data in both tiers plus the
@@ -115,5 +120,41 @@ func TestMarshalStreamValidatesTrailer(t *testing.T) {
 	raw[len(raw)-9] = 0xff // high byte of IngestCounters
 	if _, err := UnmarshalStream(bytes.NewReader(raw)); err == nil {
 		t.Error("oversized counter tally accepted on decode")
+	}
+}
+
+// TestStreamRecordRefusesWrappingUniverse decodes records whose stream and
+// shard universes were rewritten to 2^64-2: with k=4 the dummy keys d+1..d+k
+// would wrap past 2^64 into the universe, so both the offload record and
+// the manager table must refuse the record on decode.
+func TestStreamRecordRefusesWrappingUniverse(t *testing.T) {
+	const k, d = 4, 0x5a5a5a5a5a5a5a5a
+	sk := mg.New(k, d)
+	sk.UpdateBatch([]stream.Item{7, 7, 9})
+	s := StreamState{
+		Name: "wide", K: k, Universe: d, Shards: 1,
+		BudgetEps: 1, BudgetDelta: 1e-5,
+		ShardSketches: []*mg.Sketch{sk},
+	}
+	var rec, tbl bytes.Buffer
+	if err := MarshalStream(&rec, &s); err != nil {
+		t.Fatal(err)
+	}
+	if err := MarshalManager(&tbl, []StreamState{s}); err != nil {
+		t.Fatal(err)
+	}
+	wrap := func(raw []byte) []byte {
+		from := binary.LittleEndian.AppendUint64(nil, d)
+		to := binary.LittleEndian.AppendUint64(nil, math.MaxUint64-1)
+		if n := bytes.Count(raw, from); n != 2 { // the stream and its one shard
+			t.Fatalf("universe appears %d times, want 2", n)
+		}
+		return bytes.ReplaceAll(raw, from, to)
+	}
+	if _, err := UnmarshalStream(bytes.NewReader(wrap(rec.Bytes()))); err == nil {
+		t.Error("stream record with a wrapping universe accepted")
+	}
+	if _, err := UnmarshalManager(bytes.NewReader(wrap(tbl.Bytes()))); err == nil {
+		t.Error("manager table with a wrapping universe accepted")
 	}
 }

@@ -1,10 +1,12 @@
 package mg
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
 
+	"dpmg/internal/mg/mgref"
 	"dpmg/internal/stream"
 	"dpmg/internal/workload"
 )
@@ -15,7 +17,7 @@ import (
 // both stored and absent items. This is the contract that makes the flat
 // rewrite of the privacy-critical core shippable: Lemma 8 and the seeded
 // release depend on the exact sketch state, not just the estimates.
-func assertEquivalent(t *testing.T, flat *Sketch, ref *Ref) {
+func assertEquivalent(t *testing.T, flat *Sketch, ref *mgref.Ref) {
 	t.Helper()
 	if flat.N() != ref.N() {
 		t.Fatalf("N: flat %d ref %d", flat.N(), ref.N())
@@ -48,7 +50,7 @@ func assertEquivalent(t *testing.T, flat *Sketch, ref *Ref) {
 func runDifferential(t *testing.T, k int, d uint64, str stream.Stream, checkpoint int) {
 	t.Helper()
 	flat := New(k, d)
-	ref := NewRef(k, d)
+	ref := mgref.NewRef(k, d)
 	assertEquivalent(t, flat, ref) // initial dummy-key state
 	for i, x := range str {
 		flat.Update(x)
@@ -133,6 +135,23 @@ func TestDifferentialHugeKeys(t *testing.T) {
 		str[i] = stream.Item(uint64(1)<<39 + rng.Uint64N(40) + 1)
 	}
 	runDifferential(t, 8, d, str, 101)
+}
+
+// TestDifferentialWidestUniverse runs Algorithm 1 at the largest universe
+// New admits, d = 2^64-1-k, whose last dummy key is 2^64-1, so the
+// eviction order needs all eight radix passes. The items rank<<8|7 share
+// their low byte, so the first pass is skipped.
+func TestDifferentialWidestUniverse(t *testing.T) {
+	const k = 256
+	const d = math.MaxUint64 - k
+	if p := New(k, d).passes; p != 8 {
+		t.Fatalf("%d radix passes, want 8", p)
+	}
+	str := workload.Zipf(100000, 1<<20, 1.05, 8)
+	for i := range str {
+		str[i] = str[i]<<8 | 7
+	}
+	runDifferential(t, k, d, str, 4999)
 }
 
 // TestBatchMatchesSequential pins UpdateBatch to Update semantics.

@@ -1,9 +1,12 @@
 package mg
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"dpmg/internal/hist"
+	"dpmg/internal/mg/mgref"
 	"dpmg/internal/stream"
 )
 
@@ -61,28 +64,66 @@ func FuzzSketchInvariants(f *testing.F) {
 	})
 }
 
+// decodeEquivalence is decodeStream, except that a first byte with its high
+// bit set selects k = (byte&31)+1 and maps each following byte to one of
+// 3k collidingKeys over the widest universe k admits. Those items share one
+// home group and one tag, so the fuzzer drives the index's overflow,
+// tombstone and rebuild paths. probes are the items whose estimates are
+// compared: the whole universe of a small one, the key set of a wide one.
+func decodeEquivalence(data []byte) (k int, d uint64, str stream.Stream, probes []stream.Item) {
+	if len(data) < 2 || data[0] < 0x80 {
+		k, d, str = decodeStream(data)
+		for y := stream.Item(1); uint64(y) <= d; y++ {
+			probes = append(probes, y)
+		}
+		return k, d, str, probes
+	}
+	k = int(data[0]&31) + 1
+	probes = collidingKeys(3 * k)
+	for _, b := range data[1:] {
+		str = append(str, probes[int(b)%len(probes)])
+	}
+	return k, math.MaxUint64 - uint64(k), str, probes
+}
+
 // FuzzUpdateEquivalence is the differential-fuzzing half of the flat-core
 // harness: the fuzzer explores streams over tiny universes (dense branch
-// interleavings, constant eviction churn) and the flat Sketch must stay
-// byte-identical to the map-based Ref at every step — counters, estimates,
-// decrement count, and release key order. Divergence on any input is a
-// bug in the flat rewrite, found without knowing the expected output.
+// interleavings, constant eviction churn) and over colliding keys, and the
+// flat Sketch must stay byte-identical to the map-based Ref at every step —
+// counters, estimates, decrement count, and release key order — with a
+// consistent index. Divergence on any input is a bug in the flat rewrite,
+// found without knowing the expected output.
 func FuzzUpdateEquivalence(f *testing.F) {
 	f.Add([]byte{3, 5, 1, 2, 3, 4, 5, 1, 1, 2})
 	f.Add([]byte{1, 2, 0, 1, 0, 1, 0})
 	f.Add([]byte{4, 3, 0, 1, 2, 0, 1, 2, 0, 1, 2})
 	f.Add([]byte{7, 11, 9, 9, 9, 9, 9, 9, 9, 9, 9})
+	// Colliding keys: half the draws from k/2 heavy keys, so censuses run,
+	// the rest churning through all 3k.
+	rng := rand.New(rand.NewPCG(31, 37))
+	for _, k := range []int{8, 16, 32} {
+		data := []byte{0x80 | byte(k-1)}
+		for i := 0; i < 1500; i++ {
+			if rng.IntN(2) == 0 {
+				data = append(data, byte(rng.IntN(k/2)))
+			} else {
+				data = append(data, byte(rng.IntN(3*k)))
+			}
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		k, d, str := decodeStream(data)
+		k, d, str, probes := decodeEquivalence(data)
 		flat := New(k, d)
-		ref := NewRef(k, d)
+		ref := mgref.NewRef(k, d)
 		for i, x := range str {
 			flat.Update(x)
 			ref.Update(x)
+			checkIndex(t, flat)
 			if flat.Decrements() != ref.Decrements() {
 				t.Fatalf("step %d: decrements flat %d ref %d", i, flat.Decrements(), ref.Decrements())
 			}
-			for y := stream.Item(1); uint64(y) <= d; y++ {
+			for _, y := range probes {
 				if flat.Estimate(y) != ref.Estimate(y) {
 					t.Fatalf("step %d item %d: estimate flat %d ref %d",
 						i, y, flat.Estimate(y), ref.Estimate(y))

@@ -1,6 +1,7 @@
 package mg
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -199,6 +200,10 @@ func TestNewPanics(t *testing.T) {
 		func() { New(0, 10) },
 		func() { New(-1, 10) },
 		func() { New(3, 0) },
+		// d+k would wrap: the dummy keys would land inside the universe and
+		// the eviction order would read only the low key bytes.
+		func() { New(256, math.MaxUint64-100) },
+		func() { New(1, math.MaxUint64) },
 		func() { NewStandard(0) },
 	} {
 		func() {

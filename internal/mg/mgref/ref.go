@@ -1,4 +1,9 @@
-package mg
+// Package mgref holds the reference implementation of Algorithm 1 that the
+// differential and fuzz tests of the flat sketch (internal/mg) and of the
+// release tier (internal/core) compare against. Only tests import it, so
+// it is not linked into any binary; CI checks that dpmg-server does not
+// depend on it.
+package mgref
 
 import (
 	"container/heap"

@@ -2,13 +2,15 @@ package mg
 
 import (
 	"fmt"
+	"math"
 
 	"dpmg/internal/stream"
 )
 
 // ValidateColumns checks that flat columns are a full Algorithm 1 state a
 // sketch with k counters over [1, d] can hold — the encoding.KindCounters
-// wire form: exactly k entries in strictly ascending key order, every key a
+// wire form: a universe whose dummy keys fit in 64 bits (d ≤ MaxUint64-k),
+// exactly k entries in strictly ascending key order, every key a
 // universe item or a dummy (d+1..d+k), non-negative counters, zero dummy
 // counters, a counter sum within the stream length n, and at most n/(k+1)
 // decrements (Fact 7). It is RestoreColumns' admission check without the
@@ -20,6 +22,9 @@ func ValidateColumns(k int, d uint64, n, decs int64, keys []stream.Item, vals []
 	}
 	if d == 0 {
 		return fmt.Errorf("mg: columns: universe size must be positive")
+	}
+	if d > math.MaxUint64-uint64(k) {
+		return fmt.Errorf("mg: columns: universe %d leaves no room for %d dummy keys below 2^64", d, k)
 	}
 	if len(keys) != len(vals) {
 		return fmt.Errorf("mg: columns: %d keys vs %d counters", len(keys), len(vals))
@@ -87,11 +92,11 @@ func RestoreColumns(k int, d uint64, n, decs int64, keys []stream.Item, vals []i
 	s.zeros = s.zeros[:0]
 	for i, x := range keys {
 		s.slots[i] = slot{key: x, stored: vals[i]}
-		s.indexInsert(x, int32(i))
 		if vals[i] == 0 {
 			s.zeros = append(s.zeros, int32(i))
 		}
 	}
+	s.rebuildIndex()
 	s.nzero = len(s.zeros)
 	s.zSorted = true // slots ascend by key, so the zero list does too
 	return s, nil

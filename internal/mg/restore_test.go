@@ -1,6 +1,7 @@
 package mg
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -73,6 +74,10 @@ func TestRestoreValidation(t *testing.T) {
 		{"zero universe", func() error { _, err := restoreMap(3, 0, 1, 0, counts); return err }},
 		{"wrong entry count", func() error {
 			_, err := restoreMap(4, 10, 1, 0, counts)
+			return err
+		}},
+		{"universe leaves no room for dummies", func() error {
+			_, err := restoreMap(3, math.MaxUint64-2, 1, 0, counts)
 			return err
 		}},
 		{"negative n", func() error { _, err := restoreMap(3, 10, -1, 0, counts); return err }},

@@ -178,6 +178,11 @@ func (c StreamConfig) validate() error {
 	if c.Universe == 0 {
 		return fmt.Errorf("dpmg: stream universe must be positive")
 	}
+	// Algorithm 1's dummy keys are d+1..d+k, so they must fit in 64 bits.
+	if c.Universe > math.MaxUint64-uint64(c.K) {
+		return fmt.Errorf("dpmg: stream universe %d leaves no room for k=%d dummy keys below 2^64 (max %d)",
+			c.Universe, c.K, uint64(math.MaxUint64)-uint64(c.K))
+	}
 	if c.Shards <= 0 || c.Shards > MaxStreamShards {
 		return fmt.Errorf("dpmg: stream shards %d outside [1, %d]", c.Shards, MaxStreamShards)
 	}

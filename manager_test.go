@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -79,6 +80,8 @@ func TestManagerValidation(t *testing.T) {
 		"huge-k":      {K: MaxStreamK + 1},
 		"huge-shards": {Shards: MaxStreamShards + 1},
 		"huge-slots":  {K: 1 << 14, Shards: 1 << 9}, // 2^23 slots > cap
+		// d+k would wrap past 2^64, putting the dummy keys in the universe.
+		"wrapping-universe": {Universe: math.MaxUint64 - 31},
 	} {
 		if _, _, err := caps.CreateStream(name, cfg); err == nil {
 			t.Errorf("%s accepted", name)

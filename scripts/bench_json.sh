@@ -37,9 +37,10 @@ run() { # run <package> <bench regex> [extra go-test flags...]
 
 # Ingest tier: flat sketch hot paths and the sharded router. The Serving
 # row is one shard's update on the shape every BENCHMARK.json workload
-# serves (k=256, d=2^20: the Algorithm 1 miss path); the ZeroOrder rows
+# serves (k=256, d=2^20: the Algorithm 1 miss path) and the Hits row the
+# same shape fed only counter hits (hot-http's 64 keys); the ZeroOrder rows
 # are one epoch's eviction ordering at that shape.
-run . 'BenchmarkSketchUpdate$|BenchmarkSketchUpdateAdversarial$|BenchmarkSketchUpdateBatch$|BenchmarkSketchUpdateServing$|BenchmarkShardedUpdate$|BenchmarkShardedUpdateBatch$'
+run . 'BenchmarkSketchUpdate$|BenchmarkSketchUpdateAdversarial$|BenchmarkSketchUpdateBatch$|BenchmarkSketchUpdateServing$|BenchmarkSketchUpdateHits$|BenchmarkShardedUpdate$|BenchmarkShardedUpdateBatch$'
 run ./internal/mg 'BenchmarkZeroOrder$'
 # Read tier: point queries under saturating ingest. The published row is
 # the epoch read path (atomic load + binary search, 0 allocs); the locked
@@ -89,7 +90,7 @@ for required in BenchmarkServerStreamIngest BenchmarkServerHTTPIngestE2E Benchma
                 BenchmarkClusterFanIn/single BenchmarkClusterFanIn/parallel BenchmarkClusterFanIn/serial \
                 BenchmarkEstimateUnderIngest/published BenchmarkEstimateUnderIngest/locked \
                 BenchmarkFaultIn BenchmarkOffloadRecord/delta BenchmarkMergeFold \
-                BenchmarkSketchUpdateServing BenchmarkZeroOrder/n=16 BenchmarkZeroOrder/n=64 \
+                BenchmarkSketchUpdateServing BenchmarkSketchUpdateHits BenchmarkZeroOrder/n=16 BenchmarkZeroOrder/n=64 \
                 BenchmarkZeroOrder/n=205 BenchmarkZeroOrder/n=256; do
   if ! grep -q "^${required}" "$TMP"; then
     echo "bench_json.sh: required benchmark ${required} missing from output" >&2
