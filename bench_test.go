@@ -1,10 +1,10 @@
 package dpmg
 
-// One benchmark per experiment table (DESIGN.md E1–E10). Each target
-// regenerates its table and logs it, so `go test -bench=E<n>` reproduces the
-// corresponding claim. By default the reduced ("quick") problem sizes are
-// used to keep `go test -bench=.` tractable; set DPMG_BENCH_FULL=1 for the
-// full-size runs recorded in EXPERIMENTS.md (cmd/dpmg-bench runs the same
+// One benchmark per experiment table (internal/experiment, E1–E10). Each
+// target regenerates its table and logs it, so `go test -bench=E<n>`
+// reproduces the corresponding claim. By default the reduced ("quick")
+// problem sizes are used to keep `go test -bench=.` tractable; set
+// DPMG_BENCH_FULL=1 for the full-size runs (cmd/dpmg-bench runs the same
 // code as a standalone binary).
 
 import (

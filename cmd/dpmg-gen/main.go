@@ -1,6 +1,7 @@
 // Command dpmg-gen generates synthetic traces with the workload models
-// the experiments run on (see DESIGN.md for why synthetic traces
-// substitute for the paper's motivating proprietary streams), and either
+// the experiments run on (internal/workload's package doc says why
+// synthetic traces substitute for the paper's motivating proprietary
+// streams), and either
 // writes them as text (one item per line, for cmd/dpmg or any
 // line-oriented ingest) or drives them straight into a running
 // dpmg-server over the multi-tenant API — the same driver library

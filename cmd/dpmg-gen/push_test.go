@@ -42,7 +42,7 @@ func (f *fakeServer) handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		items, err := encoding.UnmarshalItems(r.Body, 1<<21)
+		items, err := encoding.AppendItems(nil, r.Body, 1<<21, 0)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

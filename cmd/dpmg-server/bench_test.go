@@ -19,7 +19,7 @@ import (
 	"dpmg/internal/workload"
 )
 
-// BenchmarkServerBatchIngest drives the /v1/batch hot path end to end
+// BenchmarkServerBatchIngest drives the .../batch hot path end to end
 // (HTTP routing, chunked validating decode into the pooled buffer, one
 // locked UpdateBatch): the per-iteration allocations are the fixed
 // net/http/httptest plumbing, not per-item work, so ns/op tracks the
@@ -40,7 +40,7 @@ func BenchmarkServerBatchIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(raw))
+		req := httptest.NewRequest(http.MethodPost, "/v1/streams/base/batch", bytes.NewReader(raw))
 		w := httptest.NewRecorder()
 		mux.ServeHTTP(w, req)
 		if w.Code != http.StatusAccepted {
@@ -49,7 +49,7 @@ func BenchmarkServerBatchIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkServerRelease measures the /v1/release path: flat combined
+// BenchmarkServerRelease measures the .../release path: flat combined
 // aggregate, registry dispatch, and the streamed JSON response. The laplace
 // mechanism is used because its calibration is closed-form — the benchmark
 // then tracks the merge+release+encode cost rather than the gaussian
@@ -65,7 +65,7 @@ func BenchmarkServerRelease(b *testing.B) {
 	if err := encoding.MarshalItems(&body, workload.Zipf(1<<18, d, 1.05, 2)); err != nil {
 		b.Fatal(err)
 	}
-	ingest := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body.Bytes()))
+	ingest := httptest.NewRequest(http.MethodPost, "/v1/streams/base/batch", bytes.NewReader(body.Bytes()))
 	w := httptest.NewRecorder()
 	mux.ServeHTTP(w, ingest)
 	if w.Code != http.StatusAccepted {
@@ -74,7 +74,7 @@ func BenchmarkServerRelease(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodGet, "/v1/release?eps=0.1&delta=1e-12&mech=laplace", nil)
+		req := httptest.NewRequest(http.MethodGet, "/v1/streams/base/release?eps=0.1&delta=1e-12&mech=laplace", nil)
 		w := httptest.NewRecorder()
 		mux.ServeHTTP(w, req)
 		if w.Code != http.StatusOK {
@@ -84,7 +84,7 @@ func BenchmarkServerRelease(b *testing.B) {
 }
 
 // newBenchManagerServer builds a server with `streams` pre-created streams
-// named s0..s{n-1} (plus the default), each with an effectively unlimited
+// named s0..s{n-1} (plus base), each with an effectively unlimited
 // budget so release benchmarks never exhaust.
 func newBenchManagerServer(b *testing.B, streams int, k int, d uint64) (*server, *http.ServeMux) {
 	b.Helper()
@@ -313,12 +313,12 @@ func BenchmarkServerStreamIngest(b *testing.B) {
 		defer cancel()
 		is.Shutdown(ctx) //nolint:errcheck // bench teardown
 	}()
-	c, err := framing.Dial(ln.Addr().String())
+	c, err := framing.DialTimeout(ln.Addr().String(), 10*time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Bind(defaultStreamName); err != nil {
+	if err := c.Bind("base"); err != nil {
 		b.Fatal(err)
 	}
 	items := workload.Zipf(4096, d, 1.05, 1)
@@ -379,7 +379,7 @@ func BenchmarkServerHTTPIngestE2E(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.Post(ts.URL+"/v1/batch", "application/octet-stream", bytes.NewReader(raw))
+		resp, err := client.Post(ts.URL+"/v1/streams/base/batch", "application/octet-stream", bytes.NewReader(raw))
 		if err != nil {
 			b.Fatal(err)
 		}

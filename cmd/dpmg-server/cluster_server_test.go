@@ -80,10 +80,7 @@ func newRootServer(t *testing.T, stateDir string, hook cluster.FoldHook) (*serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newServerFromManager(mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &server{mgr: mgr}
 	s.stateDir = stateDir
 	root, err := cluster.NewRoot(cluster.RootConfig{Manager: mgr, AutoCreate: true, Logf: t.Logf, FoldHook: hook})
 	if err != nil {
@@ -109,18 +106,19 @@ func newRootServer(t *testing.T, stateDir string, hook cluster.FoldHook) (*serve
 	return s, ts, ln.Addr().String()
 }
 
-// newEdgeServer builds a -role=edge server shipping to upstream. The
-// shipper is driven manually (ShipCycle) for determinism.
+// newEdgeServer builds a -role=edge server shipping to upstream, holding
+// one stream, "base". The shipper is driven manually (ShipCycle) for
+// determinism.
 func newEdgeServer(t *testing.T, id, upstream string) (*server, *httptest.Server) {
 	t.Helper()
 	mgr, err := dpmg.NewManager(clusterDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newServerFromManager(mgr)
-	if err != nil {
+	if _, _, err := mgr.CreateStream("base", dpmg.StreamConfig{}); err != nil {
 		t.Fatal(err)
 	}
+	s := &server{mgr: mgr}
 	sp, err := cluster.OpenSpool(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -153,11 +151,11 @@ func TestClusterSmoke(t *testing.T) {
 	edge1, edge1TS := newEdgeServer(t, "edge-1", rootAddr)
 	edge2, edge2TS := newEdgeServer(t, "edge-2", rootAddr)
 
-	resp := post(t, edge1TS.URL+"/v1/batch", batchBytes(t, []stream.Item{4, 4, 4, 9, 12}))
+	resp := post(t, edge1TS.URL+"/v1/streams/base/batch", batchBytes(t, []stream.Item{4, 4, 4, 9, 12}))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("edge batch: %d", resp.StatusCode)
 	}
-	resp = post(t, edge2TS.URL+"/v1/batch", batchBytes(t, []stream.Item{4, 7, 7}))
+	resp = post(t, edge2TS.URL+"/v1/streams/base/batch", batchBytes(t, []stream.Item{4, 7, 7}))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("edge batch: %d", resp.StatusCode)
 	}
@@ -169,29 +167,29 @@ func TestClusterSmoke(t *testing.T) {
 	}
 
 	// Releases: refused on edges (no budget there), served by the root.
-	resp = get(t, edge1TS.URL+"/v1/release?eps=1&delta=1e-6")
+	resp = get(t, edge1TS.URL+"/v1/streams/base/release?eps=1&delta=1e-6")
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("edge release: %d, want 403", resp.StatusCode)
 	}
 	if !strings.Contains(bodyOf(t, resp), "root") {
 		t.Fatal("edge release refusal should point the analyst at the root")
 	}
-	resp = get(t, rootTS.URL+"/v1/release?eps=1&delta=1e-6")
+	resp = get(t, rootTS.URL+"/v1/streams/base/release?eps=1&delta=1e-6")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("root release: %d: %s", resp.StatusCode, bodyOf(t, resp))
 	}
 
-	// The root's default stream holds the exact union (k far above the
+	// The root's base stream holds the exact union (k far above the
 	// distinct-key count, so no decrements).
-	def, _ := rootSrv.mgr.Stream(defaultStreamName)
+	def, _ := rootSrv.mgr.Stream("base")
 	if got := def.Estimate(4); got != 4 {
 		t.Fatalf("root estimate(4) = %d, want 4", got)
 	}
 
 	// Differential pin: seeded root release == seeded twin release.
-	twinDef, ok := log.twin(t).Stream(defaultStreamName)
+	twinDef, ok := log.twin(t).Stream("base")
 	if !ok {
-		t.Fatal("twin has no default stream")
+		t.Fatal("twin has no base stream")
 	}
 	p := dpmg.Params{Eps: 1, Delta: 1e-6}
 	want, err := twinDef.ReleaseDetailed(p, dpmg.WithSeed(42))
@@ -290,7 +288,7 @@ func TestAdminEvictFaultIn(t *testing.T) {
 
 	// A server with no offload store refuses eviction with 409.
 	bare := newTestServer(t, 32, 4, 1e-4)
-	if resp := post(t, bare.URL+"/v1/admin/streams/default/evict", nil); resp.StatusCode != http.StatusConflict {
+	if resp := post(t, bare.URL+"/v1/admin/streams/base/evict", nil); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("storeless evict: %d, want 409", resp.StatusCode)
 	}
 }
@@ -302,7 +300,7 @@ func TestAdminDrainEdge(t *testing.T) {
 	rootSrv, _, rootAddr := newRootServer(t, "", nil)
 	_, edgeTS := newEdgeServer(t, "edge-1", rootAddr)
 
-	resp := post(t, edgeTS.URL+"/v1/batch", batchBytes(t, []stream.Item{5, 5, 8}))
+	resp := post(t, edgeTS.URL+"/v1/streams/base/batch", batchBytes(t, []stream.Item{5, 5, 8}))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("batch: %d", resp.StatusCode)
 	}
@@ -317,14 +315,14 @@ func TestAdminDrainEdge(t *testing.T) {
 	if rep.Role != roleEdge || rep.Edge == nil || !rep.Edge.Flushed || rep.Edge.SpoolPending != 0 || rep.Edge.Shipped != 1 {
 		t.Fatalf("drain report: %+v / %+v", rep, rep.Edge)
 	}
-	def, _ := rootSrv.mgr.Stream(defaultStreamName)
+	def, _ := rootSrv.mgr.Stream("base")
 	if got := def.Estimate(5); got != 2 {
 		t.Fatalf("root estimate(5) after edge drain = %d, want 2", got)
 	}
-	if resp := post(t, edgeTS.URL+"/v1/batch", batchBytes(t, []stream.Item{1})); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp := post(t, edgeTS.URL+"/v1/streams/base/batch", batchBytes(t, []stream.Item{1})); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain batch: %d, want 503", resp.StatusCode)
 	}
-	if resp := post(t, edgeTS.URL+"/v1/summary", summaryBytes(t, 64, 1)); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp := post(t, edgeTS.URL+"/v1/streams/base/summary", summaryBytes(t, 64, 1)); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain summary: %d, want 503", resp.StatusCode)
 	}
 }
@@ -343,7 +341,7 @@ func TestAdminDrainEdgeUpstreamDown(t *testing.T) {
 
 	edgeSrv, edgeTS := newEdgeServer(t, "edge-1", deadAddr)
 	edgeSrv.drainGrace = 300 * time.Millisecond
-	resp := post(t, edgeTS.URL+"/v1/batch", batchBytes(t, []stream.Item{5}))
+	resp := post(t, edgeTS.URL+"/v1/streams/base/batch", batchBytes(t, []stream.Item{5}))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("batch: %d", resp.StatusCode)
 	}
@@ -360,7 +358,7 @@ func TestAdminDrainEdgeUpstreamDown(t *testing.T) {
 	}
 	// Nothing was cut (the shipper never cuts while disconnected), so the
 	// traffic is still in the local sketch, not lost.
-	def, _ := edgeSrv.mgr.Stream(defaultStreamName)
+	def, _ := edgeSrv.mgr.Stream("base")
 	if got := def.EstimateExact(5); got != 1 {
 		t.Fatalf("undrained edge traffic: estimate(5) = %d, want 1", got)
 	}
@@ -375,7 +373,7 @@ func TestAdminDrainRoot(t *testing.T) {
 	_, rootTS, rootAddr := newRootServer(t, stateDir, nil)
 	edgeSrv, edgeTS := newEdgeServer(t, "edge-1", rootAddr)
 
-	resp := post(t, edgeTS.URL+"/v1/batch", batchBytes(t, []stream.Item{9, 9}))
+	resp := post(t, edgeTS.URL+"/v1/streams/base/batch", batchBytes(t, []stream.Item{9, 9}))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("batch: %d", resp.StatusCode)
 	}
@@ -426,7 +424,7 @@ func TestAdminDrainRoot(t *testing.T) {
 	if err := edge2Srv.clusterShipper.ShipCycle(ctx); err != nil {
 		t.Fatal(err)
 	}
-	resp = post(t, edge2TS.URL+"/v1/batch", batchBytes(t, []stream.Item{9}))
+	resp = post(t, edge2TS.URL+"/v1/streams/base/batch", batchBytes(t, []stream.Item{9}))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("batch: %d", resp.StatusCode)
 	}
@@ -436,7 +434,7 @@ func TestAdminDrainRoot(t *testing.T) {
 	if got := root2.Stats(); got.Folded != 1 {
 		t.Fatalf("restarted root folded %d, want 1 (seq baseline resumed)", got.Folded)
 	}
-	def, _ := mgr2.Stream(defaultStreamName)
+	def, _ := mgr2.Stream("base")
 	if got := def.Estimate(9); got != 3 {
 		t.Fatalf("restarted root estimate(9) = %d, want 3 (2 restored + 1 fresh)", got)
 	}

@@ -19,7 +19,7 @@ import (
 
 // Streaming binary ingest datapath (-ingest-addr).
 //
-// PERFORMANCE.md records that the /v1/batch cost is dominated by fixed
+// PERFORMANCE.md records that the .../batch cost is dominated by fixed
 // net/http and per-request plumbing (~188 µs per 4096-item batch), not
 // sketch work (5.6 ns/item). This listener removes that tax for the hot
 // edge → aggregator path: a persistent TCP connection carries

@@ -72,7 +72,7 @@ func TestStreamIngestDifferential(t *testing.T) {
 	}
 
 	// Streaming path: the same slices over one persistent connection.
-	c, err := framing.Dial(addr)
+	c, err := framing.DialTimeout(addr, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestStreamIngestAcks(t *testing.T) {
 	createStream(t, ts.URL, `{"name":"s1"}`)
 	createStream(t, ts.URL, `{"name":"limited","max_ingest_rate":100,"ingest_burst":100}`)
 
-	c, err := framing.Dial(addr)
+	c, err := framing.DialTimeout(addr, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +239,7 @@ func faultInTestServer(t *testing.T) (*dpmg.Manager, *server, *httptest.Server, 
 	if err := mgr.SetOffloadStore(store); err != nil {
 		t.Fatal(err)
 	}
-	s, err := newServerFromManager(mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &server{mgr: mgr}
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 
@@ -306,7 +303,7 @@ func TestStreamIngestFaultInUnavailable(t *testing.T) {
 	mgr, s, _, store := faultInTestServer(t)
 	_, addr := startIngest(t, s)
 
-	c, err := framing.Dial(addr)
+	c, err := framing.DialTimeout(addr, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +340,7 @@ func TestStreamIngestMetrics(t *testing.T) {
 	_, addr := startIngest(t, s)
 
 	createStream(t, ts.URL, `{"name":"edge"}`)
-	c, err := framing.Dial(addr)
+	c, err := framing.DialTimeout(addr, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +375,7 @@ func TestStreamIngestDrain(t *testing.T) {
 	is, addr := startIngest(t, s)
 	createStream(t, ts.URL, `{"name":"edge"}`)
 
-	c, err := framing.Dial(addr)
+	c, err := framing.DialTimeout(addr, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +438,7 @@ func TestStreamIngestLifecycleStress(t *testing.T) {
 		writerWG.Add(1)
 		go func(w int) {
 			defer writerWG.Done()
-			c, err := framing.Dial(addr)
+			c, err := framing.DialTimeout(addr, 10*time.Second)
 			if err != nil {
 				t.Error(err)
 				return
@@ -498,7 +495,7 @@ func TestStreamIngestLifecycleStress(t *testing.T) {
 	churnWG.Add(1)
 	go func() {
 		defer churnWG.Done()
-		c, err := framing.Dial(addr)
+		c, err := framing.DialTimeout(addr, 10*time.Second)
 		if err != nil {
 			t.Error(err)
 			return

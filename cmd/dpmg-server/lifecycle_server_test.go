@@ -80,10 +80,7 @@ func lifecycleTestServer(t *testing.T, dir string, defaults dpmg.StreamConfig) (
 	if _, err := mgr.RecoverOffloaded(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := newServerFromManager(mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &server{mgr: mgr}
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return mgr, s, ts
@@ -127,8 +124,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"# HELP dpmg_streams ",
 		"# TYPE dpmg_streams gauge",
-		"dpmg_streams 3\n", // default + cold + hot
-		"dpmg_streams_resident 2\n",
+		"dpmg_streams 2\n", // cold + hot
+		"dpmg_streams_resident 1\n",
 		`dpmg_stream_items_ingested_total{stream="cold"} 1000`,
 		`dpmg_stream_items_ingested_total{stream="hot"} 500`,
 		`dpmg_stream_resident{stream="cold"} 0`,

@@ -3,7 +3,7 @@
 // manager holds any number of named streams — independent edge populations,
 // each with its own universe, sketch state, default mechanism, and
 // (eps, delta) budget. Edge nodes either sketch their local streams with
-// Misra-Gries summaries (dpmg.Sketch → Summary → encoding.MarshalSummary)
+// Misra-Gries summaries (dpmg.Sketch → Summary → encoding.AppendSummary)
 // and POST them, or ship raw item batches for the server to sketch itself;
 // analysts GET differentially private releases, metered against each
 // stream's own budget.
@@ -38,13 +38,11 @@
 //	                                    no summary folds, no fault-ins,
 //	                                    does not reset stream idle TTLs)
 //
-// The original single-tenant routes (POST /v1/summary, POST /v1/batch,
-// GET /v1/release, GET /v1/stats) remain as aliases onto the "default"
-// stream, which is created at startup from the -k/-d/-eps/-delta flags —
-// same paths, status codes, and binary wire formats as before (ack bodies
-// are now JSON documents). Handler error responses are always the JSON
-// envelope {"error": "..."}; only net/http's router-level 405/404 replies
-// stay plain text.
+// A server starts with no streams beyond those it restores: every stream
+// is created by POST /v1/streams (or, on a root, by edge fan-in), and the
+// -k/-d/-eps/-delta flags are only the defaults a create inherits. Handler
+// error responses are always the JSON envelope {"error": "..."}; only
+// net/http's router-level 405/404 replies stay plain text.
 //
 // # Streaming binary ingest (-ingest-addr)
 //
@@ -178,9 +176,7 @@ func main() {
 	}
 	// The offload store is attached whenever state is durable (not only
 	// when -ttl is set): previously offloaded streams must recover after a
-	// restart, and stream deletion must clean their records up. Recovery
-	// runs before the default stream is ensured, so an offloaded "default"
-	// is recovered rather than shadowed by a fresh one.
+	// restart, and stream deletion must clean their records up.
 	if *stateDir != "" {
 		store, err := dpmg.NewDirStore(filepath.Join(*stateDir, "streams"))
 		if err != nil {
@@ -197,14 +193,10 @@ func main() {
 			log.Printf("recovered %d offloaded stream(s) (cold: faulted in on first access)", recovered)
 		}
 	}
-	s, err := newServerFromManager(mgr)
-	if err != nil {
-		log.Fatal(err)
+	s := &server{
+		mgr: mgr, stateDir: *stateDir, hasStore: *stateDir != "",
+		drainGrace: *grace, pprof: *pprofOn,
 	}
-	s.stateDir = *stateDir
-	s.hasStore = *stateDir != ""
-	s.drainGrace = *grace
-	s.pprof = *pprofOn
 	if *pprofOn {
 		// A sampled mutex profile is the instrument the fold-lane work is
 		// judged by; it is cheap enough to leave on for a profiling session.

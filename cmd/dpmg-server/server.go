@@ -10,6 +10,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"dpmg"
+	"dpmg/internal/accountant"
 	"dpmg/internal/cluster"
 	"dpmg/internal/durable"
 	"dpmg/internal/encoding"
@@ -34,10 +36,11 @@ import (
 // own budget.
 //
 // Stream lookup is lock-striped and every stream's ingest path is sharded,
-// so requests on different streams never contend on a shared mutex; the
-// original single-tenant /v1/* routes survive as aliases onto the "default"
-// stream. Every handler-generated error carries the JSON envelope
-// {"error": "..."} with the appropriate status; only net/http's own
+// so requests on different streams never contend on a shared mutex. Every
+// stream is named: POST /v1/streams created it, a root's fan-in
+// auto-created it, or a restore brought it back; every stream route is
+// /v1/streams/{s}/.... Every handler-generated error carries the JSON
+// envelope {"error": "..."} with the appropriate status; only net/http's own
 // router-level responses (405 for a known path with the wrong method,
 // 404 for an unrouted path) remain plain text.
 //
@@ -50,7 +53,6 @@ import (
 // ascending item order, never in map or insertion order.
 type server struct {
 	mgr *dpmg.Manager
-	def *dpmg.Stream
 
 	// flushMu serializes saveState calls: the periodic flusher and the
 	// shutdown flush may otherwise race on the snapshot file.
@@ -91,9 +93,6 @@ type server struct {
 		m map[string]*streamLabels
 	}
 }
-
-// defaultStreamName is the stream the back-compat /v1/* aliases act on.
-const defaultStreamName = "default"
 
 // batchBufPool recycles batch decode buffers across requests (shared by all
 // streams: a pool entry carries no per-stream state). Return buffers with
@@ -137,29 +136,6 @@ func putRespBuf(pool *sync.Pool, buf *bytes.Buffer) {
 	pool.Put(buf)
 }
 
-func newServer(k int, d uint64, budget dpmg.Budget) (*server, error) {
-	mgr, err := dpmg.NewManager(dpmg.StreamConfig{K: k, Universe: d, Budget: budget})
-	if err != nil {
-		return nil, err
-	}
-	return newServerFromManager(mgr)
-}
-
-// newServerFromManager wraps an existing (possibly restored) manager,
-// creating the default stream from the manager defaults only if the
-// manager does not already hold one.
-func newServerFromManager(mgr *dpmg.Manager) (*server, error) {
-	def, ok := mgr.Stream(defaultStreamName)
-	if !ok {
-		var err error
-		def, _, err = mgr.CreateStream(defaultStreamName, dpmg.StreamConfig{})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &server{mgr: mgr, def: def}, nil
-}
-
 func (s *server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/streams", s.handleStreamCreate)
@@ -184,15 +160,6 @@ func (s *server) routes() *http.ServeMux {
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	// Back-compat: the original single-tenant routes alias the default
-	// stream — same paths, methods, status codes, and binary wire formats.
-	// (Success ack bodies are now JSON documents instead of the old plain
-	// text, and errors carry the JSON envelope.)
-	mux.HandleFunc("POST /v1/summary", s.onDefault(s.handleSummary))
-	mux.HandleFunc("POST /v1/batch", s.onDefault(s.handleBatch))
-	mux.HandleFunc("GET /v1/release", s.onDefault(s.handleRelease))
-	mux.HandleFunc("GET /v1/stats", s.onDefault(s.handleStats))
-	mux.HandleFunc("GET /v1/estimate", s.onDefault(s.handleEstimate))
 	return mux
 }
 
@@ -208,11 +175,21 @@ func jsonError(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(errorResponse{Error: fmt.Sprintf(format, args...)}) //nolint:errcheck // best-effort error body
 }
 
-// writeJSON writes a success document with the given status.
+// writeJSON writes a success document with the given status. The document
+// is encoded before the status is sent, so a value that cannot be encoded
+// (a non-finite float) is a 500 with the error envelope, never a 200 with
+// an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := respBufPool.Get().(*bytes.Buffer)
+	defer putRespBuf(&respBufPool, buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		jsonError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // response already committed
+	w.Write(buf.Bytes()) //nolint:errcheck // response already committed
 }
 
 // streamHandler is a handler bound to a resolved stream.
@@ -231,11 +208,6 @@ func (s *server) perStream(h streamHandler) http.HandlerFunc {
 		}
 		h(w, r, st)
 	}
-}
-
-// onDefault binds a handler to the default stream (back-compat routes).
-func (s *server) onDefault(h streamHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) { h(w, r, s.def) }
 }
 
 // streamCreateRequest is the POST /v1/streams body. Zero fields inherit
@@ -330,16 +302,11 @@ func (s *server) handleStreamList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStreamDelete removes a stream (its sketch state, offload record,
-// and spent-budget record with it). The default stream cannot be deleted —
-// the back-compat aliases depend on it. A stream with operations in flight
+// and spent-budget record with it). A stream with operations in flight
 // is never deleted out from under them: the manager refuses
 // deterministically and the client gets 409 to retry.
 func (s *server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("stream")
-	if name == defaultStreamName {
-		jsonError(w, http.StatusBadRequest, "the %q stream cannot be deleted (the /v1/* aliases depend on it)", defaultStreamName)
-		return
-	}
 	deleted, err := s.mgr.DeleteStream(name)
 	switch {
 	case errors.Is(err, dpmg.ErrStreamConflict):
@@ -363,7 +330,7 @@ type summaryResponse struct {
 	Nodes  int64  `json:"summaries_merged"`
 }
 
-// handleSummary ingests one binary summary (encoding.MarshalSummary) and
+// handleSummary ingests one binary summary (encoding.AppendSummary) and
 // folds it into the stream's running aggregate with the Agarwal et al.
 // merge, so the server never stores more than 2k counters per stream.
 func (s *server) handleSummary(w http.ResponseWriter, r *http.Request, st *dpmg.Stream) {
@@ -397,7 +364,9 @@ func (s *server) handleSummary(w http.ResponseWriter, r *http.Request, st *dpmg.
 	writeJSON(w, http.StatusAccepted, summaryResponse{Stream: st.Name(), Nodes: st.Nodes()})
 }
 
-// batchResponse acknowledges one raw item batch.
+// batchResponse acknowledges one raw item batch. handleBatch renders it by
+// hand, like the estimate document: the ack is the hottest HTTP response,
+// and boxing it for encoding/json costs an allocation per batch.
 type batchResponse struct {
 	Stream   string `json:"stream"`
 	Ingested int    `json:"ingested"`
@@ -447,7 +416,21 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, st *dpmg.St
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, batchResponse{Stream: st.Name(), Ingested: len(items), Total: st.Ingested()})
+	buf := respBufPool.Get().(*bytes.Buffer)
+	defer putRespBuf(&respBufPool, buf)
+	buf.Reset()
+	b := buf.AvailableBuffer()
+	b = append(b, `{"stream":`...)
+	b = strconv.AppendQuote(b, st.Name())
+	b = append(b, `,"ingested":`...)
+	b = strconv.AppendInt(b, int64(len(items)), 10)
+	b = append(b, `,"items_ingested":`...)
+	b = strconv.AppendInt(b, st.Ingested(), 10)
+	b = append(b, '}', '\n')
+	buf.Write(b)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	w.Write(buf.Bytes()) //nolint:errcheck // response already committed
 }
 
 // releaseResponse mirrors the release JSON document. The handler streams
@@ -466,7 +449,7 @@ type releaseResponse struct {
 // Query parameters: eps, delta (spent against the stream's own budget), and
 // mech= any mechanism registered with the dpmg registry that is calibrated
 // for merged (Corollary 18) sensitivity — the stream's configured default
-// (or "gaussian") when omitted; "gauss" is accepted as a legacy alias.
+// (or "gaussian") when omitted.
 //
 // Ordering is load-bearing: the mechanism is calibrated before the budget
 // is spent, so an unknown mechanism, invalid parameters, or an infeasible
@@ -479,21 +462,20 @@ func (s *server) handleRelease(w http.ResponseWriter, r *http.Request, st *dpmg.
 		jsonError(w, http.StatusForbidden, "releases are served by the root, not edges: this edge ships summaries upstream and owns no privacy budget")
 		return
 	}
+	// ParseFloat accepts "NaN" and "Inf": the checks refuse both here, so a
+	// non-finite parameter is an input error that charges nothing.
 	eps, err := strconv.ParseFloat(r.URL.Query().Get("eps"), 64)
-	if err != nil || eps <= 0 {
-		jsonError(w, http.StatusBadRequest, "eps must be a positive float")
+	if err != nil || !accountant.ValidEps(eps) {
+		jsonError(w, http.StatusBadRequest, "eps must be a finite positive float")
 		return
 	}
 	delta, err := strconv.ParseFloat(r.URL.Query().Get("delta"), 64)
-	if err != nil || delta <= 0 || delta >= 1 {
+	if err != nil || !accountant.ValidDelta(delta, false) {
 		jsonError(w, http.StatusBadRequest, "delta must be a float in (0,1)")
 		return
 	}
 	var opts []dpmg.ReleaseOption
 	if mech := r.URL.Query().Get("mech"); mech != "" {
-		if mech == "gauss" {
-			mech = dpmg.MechanismGaussian
-		}
 		if _, ok := dpmg.MechanismByName(mech); !ok {
 			jsonError(w, http.StatusBadRequest, "unknown mechanism %q (registered: %v)", mech, dpmg.Mechanisms())
 			return
@@ -557,11 +539,12 @@ func writeReleaseJSON(buf *bytes.Buffer, streamName string, res *dpmg.ReleaseRes
 	b = append(b, `,"delta":`...)
 	b = strconv.AppendFloat(b, delta, 'g', -1, 64)
 	b = append(b, `,"meta":{`...)
-	metaKeys := make([]string, 0, len(res.Meta))
+	var keyArr [8]string // calibration metadata has a handful of keys
+	metaKeys := keyArr[:0]
 	for k := range res.Meta {
 		metaKeys = append(metaKeys, k)
 	}
-	sort.Strings(metaKeys)
+	slices.Sort(metaKeys)
 	for i, k := range metaKeys {
 		if i > 0 {
 			b = append(b, ',')

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -28,13 +29,23 @@ func summaryBytes(t *testing.T, k int, seed uint64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := encoding.MarshalSummary(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encoding.AppendSummary(nil, s)
 }
 
+// newServer builds a server over a fresh manager whose defaults are k, d
+// and budget, holding one stream, "base", created from those defaults.
+func newServer(k int, d uint64, budget dpmg.Budget) (*server, error) {
+	mgr, err := dpmg.NewManager(dpmg.StreamConfig{K: k, Universe: d, Budget: budget})
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := mgr.CreateStream("base", dpmg.StreamConfig{}); err != nil {
+		return nil, err
+	}
+	return &server{mgr: mgr}, nil
+}
+
+// newTestServer serves newServer(k, 1000, (eps, delta)) over HTTP.
 func newTestServer(t *testing.T, k int, eps, delta float64) *httptest.Server {
 	t.Helper()
 	s, err := newServer(k, 1000, dpmg.Budget{Eps: eps, Delta: delta})
@@ -69,12 +80,12 @@ func get(t *testing.T, url string) *http.Response {
 func TestIngestAndRelease(t *testing.T) {
 	ts := newTestServer(t, 64, 4, 1e-4)
 	for seed := uint64(1); seed <= 3; seed++ {
-		resp := post(t, ts.URL+"/v1/summary", summaryBytes(t, 64, seed))
+		resp := post(t, ts.URL+"/v1/streams/base/summary", summaryBytes(t, 64, seed))
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("ingest status %d", resp.StatusCode)
 		}
 	}
-	resp := get(t, ts.URL+"/v1/release?eps=1&delta=1e-5")
+	resp := get(t, ts.URL+"/v1/streams/base/release?eps=1&delta=1e-5")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("release status %d", resp.StatusCode)
 	}
@@ -106,15 +117,15 @@ func TestIngestAndRelease(t *testing.T) {
 // rejected with the budget fully intact.
 func TestCalibrationErrorDoesNotSpendBudget(t *testing.T) {
 	ts := newTestServer(t, 32, 2, 1e-4)
-	post(t, ts.URL+"/v1/summary", summaryBytes(t, 32, 7))
+	post(t, ts.URL+"/v1/streams/base/summary", summaryBytes(t, 32, 7))
 	for _, mech := range []string{"geometric", "pure"} {
-		resp := get(t, ts.URL+"/v1/release?eps=1&delta=1e-5&mech="+mech)
+		resp := get(t, ts.URL+"/v1/streams/base/release?eps=1&delta=1e-5&mech="+mech)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("mech=%s status %d, want 400", mech, resp.StatusCode)
 		}
 	}
 	var st statsResponse
-	if err := json.NewDecoder(get(t, ts.URL+"/v1/stats").Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(get(t, ts.URL+"/v1/streams/base/stats").Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.RemainingEps != 2 || st.RemainingDel != 1e-4 {
@@ -126,14 +137,19 @@ func TestCalibrationErrorDoesNotSpendBudget(t *testing.T) {
 	}
 }
 
-// TestRegistryMechanismsDispatch checks that /v1/release accepts exactly
-// the registered mechanism names (plus the legacy "gauss" alias) and
-// reports the canonical name and calibration metadata in the response.
+// TestRegistryMechanismsDispatch checks that .../release accepts exactly
+// the registered mechanism names, reports the canonical name and
+// calibration metadata in the response, and refuses the retired "gauss"
+// alias as an unknown mechanism.
 func TestRegistryMechanismsDispatch(t *testing.T) {
 	ts := newTestServer(t, 32, 10, 1e-3)
-	post(t, ts.URL+"/v1/summary", summaryBytes(t, 32, 8))
-	for alias, want := range map[string]string{"gauss": "gaussian", "gaussian": "gaussian", "laplace": "laplace"} {
-		resp := get(t, ts.URL+"/v1/release?eps=1&delta=1e-5&mech="+alias)
+	post(t, ts.URL+"/v1/streams/base/summary", summaryBytes(t, 32, 8))
+	resp := get(t, ts.URL+"/v1/streams/base/release?eps=1&delta=1e-5&mech=gauss")
+	if body := bodyOf(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "unknown mechanism") {
+		t.Fatalf("mech=gauss: status %d body %s, want 400 unknown mechanism", resp.StatusCode, body)
+	}
+	for alias, want := range map[string]string{"gaussian": "gaussian", "laplace": "laplace"} {
+		resp := get(t, ts.URL+"/v1/streams/base/release?eps=1&delta=1e-5&mech="+alias)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("mech=%s status %d", alias, resp.StatusCode)
 		}
@@ -152,8 +168,8 @@ func TestRegistryMechanismsDispatch(t *testing.T) {
 
 func TestReleaseLaplaceMechanism(t *testing.T) {
 	ts := newTestServer(t, 64, 4, 1e-4)
-	post(t, ts.URL+"/v1/summary", summaryBytes(t, 64, 9))
-	resp := get(t, ts.URL+"/v1/release?eps=1&delta=1e-5&mech=laplace")
+	post(t, ts.URL+"/v1/streams/base/summary", summaryBytes(t, 64, 9))
+	resp := get(t, ts.URL+"/v1/streams/base/release?eps=1&delta=1e-5&mech=laplace")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("laplace release status %d", resp.StatusCode)
 	}
@@ -168,17 +184,17 @@ func TestReleaseLaplaceMechanism(t *testing.T) {
 
 func TestBudgetExhaustion(t *testing.T) {
 	ts := newTestServer(t, 32, 1, 1e-4)
-	post(t, ts.URL+"/v1/summary", summaryBytes(t, 32, 4))
-	if resp := get(t, ts.URL+"/v1/release?eps=0.6&delta=1e-5"); resp.StatusCode != http.StatusOK {
+	post(t, ts.URL+"/v1/streams/base/summary", summaryBytes(t, 32, 4))
+	if resp := get(t, ts.URL+"/v1/streams/base/release?eps=0.6&delta=1e-5"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first release status %d", resp.StatusCode)
 	}
-	resp := get(t, ts.URL+"/v1/release?eps=0.6&delta=1e-5")
+	resp := get(t, ts.URL+"/v1/streams/base/release?eps=0.6&delta=1e-5")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-budget release status %d, want 429", resp.StatusCode)
 	}
 	// Stats reflect the single successful release.
 	var st statsResponse
-	if err := json.NewDecoder(get(t, ts.URL+"/v1/stats").Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(get(t, ts.URL+"/v1/streams/base/stats").Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.ReleasesSoFar != 1 || st.Nodes != 1 {
@@ -191,23 +207,23 @@ func TestBudgetExhaustion(t *testing.T) {
 
 func TestRejectsBadInput(t *testing.T) {
 	ts := newTestServer(t, 32, 1, 1e-4)
-	if resp := post(t, ts.URL+"/v1/summary", []byte("garbage")); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(t, ts.URL+"/v1/streams/base/summary", []byte("garbage")); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage summary status %d", resp.StatusCode)
 	}
 	// Wrong k.
-	if resp := post(t, ts.URL+"/v1/summary", summaryBytes(t, 16, 1)); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(t, ts.URL+"/v1/streams/base/summary", summaryBytes(t, 16, 1)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("k-mismatch status %d", resp.StatusCode)
 	}
 	// Release before any data.
-	if resp := get(t, ts.URL+"/v1/release?eps=0.5&delta=1e-5"); resp.StatusCode != http.StatusConflict {
+	if resp := get(t, ts.URL+"/v1/streams/base/release?eps=0.5&delta=1e-5"); resp.StatusCode != http.StatusConflict {
 		t.Errorf("empty release status %d", resp.StatusCode)
 	}
-	post(t, ts.URL+"/v1/summary", summaryBytes(t, 32, 2))
+	post(t, ts.URL+"/v1/streams/base/summary", summaryBytes(t, 32, 2))
 	for _, q := range []string{
 		"eps=0&delta=1e-5", "eps=abc&delta=1e-5", "eps=0.5&delta=2",
 		"eps=0.5&delta=1e-5&mech=nope",
 	} {
-		if resp := get(t, ts.URL+"/v1/release?"+q); resp.StatusCode != http.StatusBadRequest {
+		if resp := get(t, ts.URL+"/v1/streams/base/release?"+q); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("query %q status %d, want 400", q, resp.StatusCode)
 		}
 	}
@@ -224,18 +240,15 @@ func TestSummaryOverflowRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := encoding.MarshalSummary(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	if resp := post(t, ts.URL+"/v1/streams/default/summary", buf.Bytes()); resp.StatusCode != http.StatusAccepted {
+	body := encoding.AppendSummary(nil, s)
+	if resp := post(t, ts.URL+"/v1/streams/base/summary", body); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first summary status %d, want 202", resp.StatusCode)
 	}
-	if resp := post(t, ts.URL+"/v1/streams/default/summary", buf.Bytes()); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(t, ts.URL+"/v1/streams/base/summary", body); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("overflowing summary status %d, want 400", resp.StatusCode)
 	}
 	var st statsResponse
-	if err := json.NewDecoder(get(t, ts.URL+"/v1/streams/default/stats").Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(get(t, ts.URL+"/v1/streams/base/stats").Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Nodes != 1 {
@@ -244,7 +257,7 @@ func TestSummaryOverflowRefused(t *testing.T) {
 	var est struct {
 		Estimate int64 `json:"estimate"`
 	}
-	if err := json.NewDecoder(get(t, ts.URL+"/v1/streams/default/estimate?item=7").Body).Decode(&est); err != nil {
+	if err := json.NewDecoder(get(t, ts.URL+"/v1/streams/base/estimate?item=7").Body).Decode(&est); err != nil {
 		t.Fatal(err)
 	}
 	if est.Estimate != big {
@@ -265,7 +278,7 @@ func TestSummaryHeaderCannotDriveAllocation(t *testing.T) {
 	for _, v := range []uint64{1 << 30, 0, 0, 0, 1 << 30} { // k, universe, n, decrements, entries
 		body = binary.LittleEndian.AppendUint64(body, v)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/streams/default/summary", bytes.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/streams/base/summary", bytes.NewReader(body))
 	rec := httptest.NewRecorder()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -284,10 +297,10 @@ func TestBoundedMemory(t *testing.T) {
 	// counters after each fold.
 	ts := newTestServer(t, 16, 10, 1e-3)
 	for seed := uint64(1); seed <= 20; seed++ {
-		post(t, ts.URL+"/v1/summary", summaryBytes(t, 16, seed))
+		post(t, ts.URL+"/v1/streams/base/summary", summaryBytes(t, 16, seed))
 	}
 	var st statsResponse
-	if err := json.NewDecoder(get(t, ts.URL+"/v1/stats").Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(get(t, ts.URL+"/v1/streams/base/stats").Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Counters > 16 {
@@ -329,13 +342,20 @@ func TestBatchIngestAndRelease(t *testing.T) {
 		if end > len(str) {
 			end = len(str)
 		}
-		resp := post(t, ts.URL+"/v1/batch", batchBytes(t, str[i:end]))
+		resp := post(t, ts.URL+"/v1/streams/base/batch", batchBytes(t, str[i:end]))
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("batch ingest status %d", resp.StatusCode)
 		}
+		var ack batchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+			t.Fatal(err)
+		}
+		if want := (batchResponse{Stream: "base", Ingested: end - i, Total: int64(end)}); ack != want {
+			t.Fatalf("batch ack %+v, want %+v", ack, want)
+		}
 	}
 	var st statsResponse
-	if err := json.NewDecoder(get(t, ts.URL+"/v1/stats").Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(get(t, ts.URL+"/v1/streams/base/stats").Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Items != int64(len(str)) {
@@ -347,7 +367,7 @@ func TestBatchIngestAndRelease(t *testing.T) {
 	if st.IngestLive == 0 || st.IngestLive > 64 {
 		t.Fatalf("ingest_counters = %d, want in (0, k=64]", st.IngestLive)
 	}
-	resp := get(t, ts.URL+"/v1/release?eps=1&delta=1e-5")
+	resp := get(t, ts.URL+"/v1/streams/base/release?eps=1&delta=1e-5")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("release status %d", resp.StatusCode)
 	}
@@ -366,9 +386,9 @@ func TestBatchAndSummariesCombine(t *testing.T) {
 	ts := newTestServer(t, 64, 4, 1e-4)
 	// One node ships a summary, another ships raw batches of the same
 	// distribution; the release must see both.
-	post(t, ts.URL+"/v1/summary", summaryBytes(t, 64, 5))
-	post(t, ts.URL+"/v1/batch", batchBytes(t, workload.HeavyTail(50000, 1000, 3, 0.9, 6)))
-	resp := get(t, ts.URL+"/v1/release?eps=1&delta=1e-5")
+	post(t, ts.URL+"/v1/streams/base/summary", summaryBytes(t, 64, 5))
+	post(t, ts.URL+"/v1/streams/base/batch", batchBytes(t, workload.HeavyTail(50000, 1000, 3, 0.9, 6)))
+	resp := get(t, ts.URL+"/v1/streams/base/release?eps=1&delta=1e-5")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("combined release status %d", resp.StatusCode)
 	}
@@ -386,27 +406,27 @@ func TestBatchAndSummariesCombine(t *testing.T) {
 func TestBatchRejectsBadInput(t *testing.T) {
 	ts := newTestServer(t, 32, 1, 1e-4)
 	// Truncated body (not a multiple of 8).
-	if resp := post(t, ts.URL+"/v1/batch", []byte{1, 2, 3}); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(t, ts.URL+"/v1/streams/base/batch", []byte{1, 2, 3}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("truncated batch status %d", resp.StatusCode)
 	}
 	// Item outside the universe (test server uses d=1000).
-	if resp := post(t, ts.URL+"/v1/batch", batchBytes(t, []stream.Item{1, 2, 1001})); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(t, ts.URL+"/v1/streams/base/batch", batchBytes(t, []stream.Item{1, 2, 1001})); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("out-of-universe batch status %d", resp.StatusCode)
 	}
 	// Item zero is reserved.
-	if resp := post(t, ts.URL+"/v1/batch", batchBytes(t, []stream.Item{0})); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(t, ts.URL+"/v1/streams/base/batch", batchBytes(t, []stream.Item{0})); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("zero-item batch status %d", resp.StatusCode)
 	}
 	// A rejected batch must not have been partially applied.
 	var st statsResponse
-	if err := json.NewDecoder(get(t, ts.URL+"/v1/stats").Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(get(t, ts.URL+"/v1/streams/base/stats").Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Items != 0 || st.Batches != 0 {
 		t.Errorf("rejected batches leaked into stats: %+v", st)
 	}
 	// Release with nothing ingested stays a conflict.
-	if resp := get(t, ts.URL+"/v1/release?eps=0.5&delta=1e-5"); resp.StatusCode != http.StatusConflict {
+	if resp := get(t, ts.URL+"/v1/streams/base/release?eps=0.5&delta=1e-5"); resp.StatusCode != http.StatusConflict {
 		t.Errorf("empty release status %d", resp.StatusCode)
 	}
 }
@@ -455,12 +475,12 @@ func TestMultiStreamLifecycle(t *testing.T) {
 		t.Fatalf("defaulted create status %d", resp.StatusCode)
 	}
 
-	// List: default + the two created streams, ascending by name.
+	// List: base + the two created streams, ascending by name.
 	var infos []streamInfo
 	if err := json.NewDecoder(get(t, ts.URL+"/v1/streams").Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 3 || infos[0].Name != "default" || infos[1].Name != "edge-eu" || infos[2].Name != "edge-us" {
+	if len(infos) != 3 || infos[0].Name != "base" || infos[1].Name != "edge-eu" || infos[2].Name != "edge-us" {
 		t.Fatalf("stream list %+v", infos)
 	}
 	if infos[1].K != 64 || infos[1].Universe != 5000 || infos[2].K != 32 || infos[2].Universe != 1000 {
@@ -478,9 +498,9 @@ func TestMultiStreamLifecycle(t *testing.T) {
 	if euStats.Stream != "edge-eu" || euStats.Shards <= 0 {
 		t.Fatalf("stats identity: %+v", euStats)
 	}
-	// The default stream saw none of it.
-	if def := decodeStats(t, get(t, ts.URL+"/v1/stats")); def.Items != 0 || def.Nodes != 0 {
-		t.Fatalf("default stream contaminated: %+v", def)
+	// The base stream saw none of it.
+	if def := decodeStats(t, get(t, ts.URL+"/v1/streams/base/stats")); def.Items != 0 || def.Nodes != 0 {
+		t.Fatalf("base stream contaminated: %+v", def)
 	}
 
 	// Budget isolation: exhaust edge-us; edge-eu must be untouched.
@@ -509,7 +529,7 @@ func TestMultiStreamLifecycle(t *testing.T) {
 		}
 	}
 
-	// Delete: gone afterwards; the default stream is protected.
+	// Delete: gone afterwards, for base as for any other stream.
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/streams/edge-us", nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -522,14 +542,14 @@ func TestMultiStreamLifecycle(t *testing.T) {
 	if resp := get(t, ts.URL+"/v1/streams/edge-us/stats"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted stream stats status %d", resp.StatusCode)
 	}
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/streams/default", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/streams/base", nil)
 	dresp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("default delete status %d", dresp.StatusCode)
+	if dresp.StatusCode != http.StatusNoContent {
+		t.Fatalf("base delete status %d", dresp.StatusCode)
 	}
 }
 
@@ -539,8 +559,8 @@ func TestMultiStreamLifecycle(t *testing.T) {
 // 404s on every per-stream route.
 func TestErrorEnvelope(t *testing.T) {
 	ts := newTestServer(t, 32, 1, 1e-4)
-	post(t, ts.URL+"/v1/summary", summaryBytes(t, 32, 3))
-	get(t, ts.URL+"/v1/release?eps=0.9&delta=1e-5") // drain most of the budget
+	post(t, ts.URL+"/v1/streams/base/summary", summaryBytes(t, 32, 3))
+	get(t, ts.URL+"/v1/streams/base/release?eps=0.9&delta=1e-5") // drain most of the budget
 	cases := []struct {
 		name   string
 		method string
@@ -548,13 +568,13 @@ func TestErrorEnvelope(t *testing.T) {
 		body   string
 		status int
 	}{
-		{"garbage summary", "POST", "/v1/summary", "garbage", http.StatusBadRequest},
-		{"bad eps", "GET", "/v1/release?eps=abc&delta=1e-5", "", http.StatusBadRequest},
-		{"bad delta", "GET", "/v1/release?eps=0.5&delta=2", "", http.StatusBadRequest},
-		{"unknown mech", "GET", "/v1/release?eps=0.01&delta=1e-7&mech=nope", "", http.StatusBadRequest},
-		{"uncalibratable mech", "GET", "/v1/release?eps=0.01&delta=1e-7&mech=geometric", "", http.StatusBadRequest},
-		{"over budget", "GET", "/v1/release?eps=5&delta=1e-5", "", http.StatusTooManyRequests},
-		{"truncated batch", "POST", "/v1/batch", "abc", http.StatusBadRequest},
+		{"garbage summary", "POST", "/v1/streams/base/summary", "garbage", http.StatusBadRequest},
+		{"bad eps", "GET", "/v1/streams/base/release?eps=abc&delta=1e-5", "", http.StatusBadRequest},
+		{"bad delta", "GET", "/v1/streams/base/release?eps=0.5&delta=2", "", http.StatusBadRequest},
+		{"unknown mech", "GET", "/v1/streams/base/release?eps=0.01&delta=1e-7&mech=nope", "", http.StatusBadRequest},
+		{"uncalibratable mech", "GET", "/v1/streams/base/release?eps=0.01&delta=1e-7&mech=geometric", "", http.StatusBadRequest},
+		{"over budget", "GET", "/v1/streams/base/release?eps=5&delta=1e-5", "", http.StatusTooManyRequests},
+		{"truncated batch", "POST", "/v1/streams/base/batch", "abc", http.StatusBadRequest},
 		{"unknown stream stats", "GET", "/v1/streams/ghost/stats", "", http.StatusNotFound},
 		{"unknown stream batch", "POST", "/v1/streams/ghost/batch", "", http.StatusNotFound},
 		{"unknown stream summary", "POST", "/v1/streams/ghost/summary", "", http.StatusNotFound},
@@ -679,23 +699,21 @@ func TestServerRestartDurability(t *testing.T) {
 	if err != nil || restored {
 		t.Fatalf("fresh manager: restored=%v err=%v", restored, err)
 	}
-	s1, err := newServerFromManager(mgr1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := &server{mgr: mgr1}
 	ts := httptest.NewServer(s1.routes())
 
+	createStream(t, ts.URL, `{"name":"base"}`)
 	createStream(t, ts.URL, `{"name":"alpha","mechanism":"laplace"}`)
 	post(t, ts.URL+"/v1/streams/alpha/batch", batchBytes(t, workload.HeavyTail(40000, 1000, 3, 0.9, 4)))
 	post(t, ts.URL+"/v1/streams/alpha/summary", summaryBytes(t, 32, 5))
-	post(t, ts.URL+"/v1/batch", batchBytes(t, workload.Zipf(10000, 1000, 1.3, 6)))
+	post(t, ts.URL+"/v1/streams/base/batch", batchBytes(t, workload.Zipf(10000, 1000, 1.3, 6)))
 	// Spend budget so the restored accountants carry history.
 	if resp := get(t, ts.URL+"/v1/streams/alpha/release?eps=1&delta=1e-5"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("pre-restart release status %d", resp.StatusCode)
 	}
 	statsBefore := map[string]statsResponse{
-		"alpha":   decodeStats(t, get(t, ts.URL+"/v1/streams/alpha/stats")),
-		"default": decodeStats(t, get(t, ts.URL+"/v1/stats")),
+		"alpha": decodeStats(t, get(t, ts.URL+"/v1/streams/alpha/stats")),
+		"base":  decodeStats(t, get(t, ts.URL+"/v1/streams/base/stats")),
 	}
 	ts.Close() // drain in-flight requests: the quiescent shutdown point
 	if err := s1.saveState(dir); err != nil {
@@ -707,16 +725,13 @@ func TestServerRestartDurability(t *testing.T) {
 	if err != nil || !restored {
 		t.Fatalf("restore: restored=%v err=%v", restored, err)
 	}
-	s2, err := newServerFromManager(mgr2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := &server{mgr: mgr2}
 	ts2 := httptest.NewServer(s2.routes())
 	t.Cleanup(ts2.Close)
 
 	statsAfter := map[string]statsResponse{
-		"alpha":   decodeStats(t, get(t, ts2.URL+"/v1/streams/alpha/stats")),
-		"default": decodeStats(t, get(t, ts2.URL+"/v1/stats")),
+		"alpha": decodeStats(t, get(t, ts2.URL+"/v1/streams/alpha/stats")),
+		"base":  decodeStats(t, get(t, ts2.URL+"/v1/streams/base/stats")),
 	}
 	for name, before := range statsBefore {
 		if after := statsAfter[name]; after != before {
@@ -725,7 +740,7 @@ func TestServerRestartDurability(t *testing.T) {
 	}
 
 	// Byte-identical seeded releases from the two managers' streams.
-	for _, name := range []string{"alpha", "default"} {
+	for _, name := range []string{"alpha", "base"} {
 		st1, _ := mgr1.Stream(name)
 		st2, _ := mgr2.Stream(name)
 		h1, err1 := st1.ReleaseDetailed(dpmg.Params{Eps: 0.5, Delta: 1e-5}, dpmg.WithSeed(77))
@@ -755,10 +770,9 @@ func TestServerRestartDurability(t *testing.T) {
 }
 
 // TestEstimateEndpoint pins the point-query surface: GET .../estimate
-// serves the (bounded-stale, non-private) sketch estimate for one item,
-// the back-compat /v1/estimate alias hits the default stream, and the
-// parameter validation rejects malformed or out-of-universe items before
-// touching the stream.
+// serves the (bounded-stale, non-private) sketch estimate for one item of
+// the stream named in the path, and the parameter validation rejects
+// malformed or out-of-universe items before touching the stream.
 func TestEstimateEndpoint(t *testing.T) {
 	s, err := newServer(64, 1000, dpmg.Budget{Eps: 4, Delta: 1e-4})
 	if err != nil {
@@ -766,10 +780,10 @@ func TestEstimateEndpoint(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
-	post(t, ts.URL+"/v1/batch", batchBytes(t, []stream.Item{5, 5, 5, 7}))
+	post(t, ts.URL+"/v1/streams/base/batch", batchBytes(t, []stream.Item{5, 5, 5, 7}))
 	// The endpoint serves the bounded-stale published view; fold it
 	// forward deterministically rather than waiting on a trigger.
-	def, _ := s.mgr.Stream(defaultStreamName)
+	def, _ := s.mgr.Stream("base")
 	if err := def.Publish(); err != nil {
 		t.Fatal(err)
 	}
@@ -784,10 +798,9 @@ func TestEstimateEndpoint(t *testing.T) {
 		item uint64
 		want int64
 	}{
-		{"/v1/estimate?item=5", 5, 3},
-		{"/v1/estimate?item=7", 7, 1},
-		{"/v1/estimate?item=9", 9, 0}, // never ingested: estimate 0, not an error
-		{"/v1/streams/default/estimate?item=5", 5, 3},
+		{"/v1/streams/base/estimate?item=5", 5, 3},
+		{"/v1/streams/base/estimate?item=7", 7, 1},
+		{"/v1/streams/base/estimate?item=9", 9, 0}, // never ingested: estimate 0, not an error
 	} {
 		resp := get(t, ts.URL+c.url)
 		if resp.StatusCode != http.StatusOK {
@@ -797,18 +810,18 @@ func TestEstimateEndpoint(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 			t.Fatal(err)
 		}
-		if er.Stream != "default" || er.Item != c.item || er.Estimate != c.want {
+		if er.Stream != "base" || er.Item != c.item || er.Estimate != c.want {
 			t.Errorf("GET %s = %+v, want item %d estimate %d", c.url, er, c.item, c.want)
 		}
 	}
 
 	for _, bad := range []string{
-		"/v1/estimate",           // missing item
-		"/v1/estimate?item=",     // empty item
-		"/v1/estimate?item=abc",  // not a number
-		"/v1/estimate?item=0",    // items are 1-based
-		"/v1/estimate?item=-3",   // negative
-		"/v1/estimate?item=1001", // outside universe [1, 1000]
+		"/v1/streams/base/estimate",           // missing item
+		"/v1/streams/base/estimate?item=",     // empty item
+		"/v1/streams/base/estimate?item=abc",  // not a number
+		"/v1/streams/base/estimate?item=0",    // items are 1-based
+		"/v1/streams/base/estimate?item=-3",   // negative
+		"/v1/streams/base/estimate?item=1001", // outside universe [1, 1000]
 	} {
 		if resp := get(t, ts.URL+bad); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("GET %s status %d, want 400", bad, resp.StatusCode)

@@ -178,7 +178,7 @@
 // The sketch core is flat storage (contiguous counter array + open
 // addressing + a lazy decrement offset, see internal/mg) and Update never
 // allocates. Batch ingest (UpdateBatch, ShardedSketch.UpdateBatch, the
-// dpmg-server /v1/batch endpoint) amortizes call and lock overhead when
+// dpmg-server /v1/streams/{s}/batch endpoint) amortizes call and lock overhead when
 // items already arrive grouped. Measured on one 2.10 GHz Xeon core
 // (go test -bench=BenchmarkSketch, k=256, d=65536, n=2^20), against the
 // previous map-based core:

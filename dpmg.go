@@ -206,7 +206,7 @@ func (s *MergeableSummary) Estimate(x Item) int64 { return s.inner.Estimate(x) }
 
 // Keys returns the summary's keys in strictly ascending order. The slice is
 // borrowed — callers must not mutate it. Together with Counts it is the
-// flat wire view shippers serialize (encoding.MarshalSummary) without
+// flat wire view shippers serialize (encoding.AppendSummary) without
 // copying.
 func (s *MergeableSummary) Keys() []Item { return s.inner.Keys() }
 

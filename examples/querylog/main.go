@@ -20,8 +20,9 @@ func main() {
 		k     = 256
 	)
 
-	// Synthetic Zipf-shaped log (real logs are Zipf-like; see DESIGN.md for
-	// the substitution rationale) with human-readable query strings.
+	// Synthetic Zipf-shaped log (real logs are Zipf-like; internal/workload's
+	// package doc gives the substitution rationale) with human-readable
+	// query strings.
 	items, dict := workload.QueryLog(n, vocab, 1.15, 99)
 
 	sk := dpmg.NewStringSketch(k, vocab)

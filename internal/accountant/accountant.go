@@ -33,12 +33,27 @@ type Budget struct {
 	Delta float64
 }
 
+// ValidEps reports whether eps is a usable privacy parameter: finite and
+// positive. The comparison is written so that NaN fails it: an ordered
+// guard such as eps <= 0 lets NaN through, and one NaN in a ledger makes
+// every later comparison against it false.
+func ValidEps(eps float64) bool { return eps > 0 && !math.IsInf(eps, 1) }
+
+// ValidDelta reports whether delta is a usable privacy parameter: in
+// (0,1), or in [0,1) when zeroOK. NaN fails both.
+func ValidDelta(delta float64, zeroOK bool) bool {
+	if zeroOK {
+		return delta >= 0 && delta < 1
+	}
+	return delta > 0 && delta < 1
+}
+
 // Valid reports whether the budget is usable.
 func (b Budget) Valid() error {
-	if b.Eps <= 0 {
-		return fmt.Errorf("accountant: eps budget must be positive, got %v", b.Eps)
+	if !ValidEps(b.Eps) {
+		return fmt.Errorf("accountant: eps budget must be finite and positive, got %v", b.Eps)
 	}
-	if b.Delta < 0 || b.Delta >= 1 {
+	if !ValidDelta(b.Delta, true) {
 		return fmt.Errorf("accountant: delta budget must be in [0,1), got %v", b.Delta)
 	}
 	return nil
@@ -66,7 +81,7 @@ func New(budget Budget) (*Accountant, error) {
 // budget under basic composition, atomically recording it. It returns an
 // error (and records nothing) otherwise.
 func (a *Accountant) Spend(eps, delta float64) error {
-	if eps <= 0 || delta < 0 {
+	if !ValidEps(eps) || !ValidDelta(delta, true) {
 		return fmt.Errorf("accountant: invalid spend (%v, %v)", eps, delta)
 	}
 	a.mu.Lock()
@@ -161,11 +176,6 @@ func (a *Accountant) Releases() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.releases
-}
-
-// BasicCompose returns the total cost of k releases each at (eps, delta).
-func BasicCompose(eps, delta float64, k int) Budget {
-	return Budget{Eps: float64(k) * eps, Delta: float64(k) * delta}
 }
 
 // AdvancedCompose returns the total cost of k releases each at (eps, delta)

@@ -1,13 +1,17 @@
 package accountant
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
 )
 
+var nan, inf = math.NaN(), math.Inf(1)
+
 func TestBudgetValid(t *testing.T) {
-	bad := []Budget{{0, 0.1}, {-1, 0.1}, {1, -0.1}, {1, 1}}
+	bad := []Budget{{0, 0.1}, {-1, 0.1}, {1, -0.1}, {1, 1},
+		{nan, 0.1}, {inf, 0.1}, {-inf, 0.1}, {1, nan}, {1, inf}, {1, -inf}}
 	for _, b := range bad {
 		if b.Valid() == nil {
 			t.Errorf("budget %+v accepted", b)
@@ -61,6 +65,17 @@ func TestSpendRejectsInvalid(t *testing.T) {
 	}
 	if err := a.Spend(0.1, -1); err == nil {
 		t.Error("negative delta admitted")
+	}
+	// A non-finite spend is an input error, never "exhausted", and records
+	// nothing: one admitted NaN would make every later comparison false.
+	for _, c := range [][2]float64{{nan, 0}, {inf, 0}, {-inf, 0}, {0.1, nan}, {0.1, inf}, {0.1, -inf}} {
+		err := a.Spend(c[0], c[1])
+		if err == nil || errors.Is(err, ErrExhausted) {
+			t.Errorf("Spend(%v, %v) = %v, want an input error", c[0], c[1], err)
+		}
+	}
+	if spent := a.Spent(); spent != (Budget{}) || a.Releases() != 0 {
+		t.Errorf("refused spends moved the ledger: %+v, %d releases", spent, a.Releases())
 	}
 }
 
@@ -241,4 +256,9 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	if _, err := Restore(total, Budget{}, 0); err != nil {
 		t.Errorf("fresh state rejected: %v", err)
 	}
+}
+
+// BasicCompose returns the total cost of k releases each at (eps, delta).
+func BasicCompose(eps, delta float64, k int) Budget {
+	return Budget{Eps: float64(k) * eps, Delta: float64(k) * delta}
 }

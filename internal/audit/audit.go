@@ -61,17 +61,6 @@ func AllAtLeast(xs []stream.Item, t float64) Event {
 	}
 }
 
-// Present is the event "x appears in the release at all".
-func Present(x stream.Item) Event {
-	return Event{
-		Name: "present",
-		Pred: func(e hist.Estimate) bool {
-			_, ok := e[x]
-			return ok
-		},
-	}
-}
-
 // Result is the outcome of an audit.
 type Result struct {
 	// EpsLower is a high-confidence lower bound on the privacy loss the

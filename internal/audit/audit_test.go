@@ -220,3 +220,14 @@ func TestAuditOnRealWorkloadPairs(t *testing.T) {
 		t.Errorf("organic pair audited at %v > eps", res.EpsLower)
 	}
 }
+
+// Present is the event "x appears in the release at all".
+func Present(x stream.Item) Event {
+	return Event{
+		Name: "present",
+		Pred: func(e hist.Estimate) bool {
+			_, ok := e[x]
+			return ok
+		},
+	}
+}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -220,4 +221,27 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := NewFrequencyOracle(10, 0.1, 0, 1); err == nil {
 		t.Error("oracle eps=0 accepted")
 	}
+}
+
+// BohlerAsPublished is the Böhler–Kerschbaum heavy-hitters release exactly
+// as published: Laplace(1/eps) noise on each stored Misra-Gries counter and
+// a threshold hiding single differing keys. The paper (Section 1, "Relation
+// to Böhler and Kerschbaum") shows the true sensitivity of the sketch is k,
+// so this DOES NOT satisfy (eps, delta)-DP for k > 1. Kept for the E9 audit
+// which demonstrates the violation empirically.
+func BohlerAsPublished(sk *mg.StandardSketch, eps, delta float64, src noise.Source) (hist.Estimate, error) {
+	if eps <= 0 {
+		return nil, fmt.Errorf("baseline: eps must be positive, got %v", eps)
+	}
+	if delta <= 0 || delta >= 1 {
+		return nil, fmt.Errorf("baseline: delta must be in (0,1), got %v", delta)
+	}
+	thresh := 1 + 2*noise.LaplaceQuantile(1/eps, delta)
+	out := make(hist.Estimate)
+	for _, x := range sk.SortedKeys() {
+		if v := float64(sk.Estimate(x)) + noise.Laplace(src, 1/eps); v >= thresh {
+			out[x] = v
+		}
+	}
+	return out, nil
 }

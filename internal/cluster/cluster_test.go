@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -688,4 +690,15 @@ func benchFanInWorkers(b *testing.B, lanes int) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "summaries/s")
+}
+
+// SaveSeqs writes the (edge, stream) → last-folded-seq table as JSON. The
+// server persists it next to the manager snapshot: restoring both together
+// resumes the exactly-once contract across a root restart. Callers who
+// pair the table with a manager snapshot should use SnapshotSeqs instead,
+// which captures both at the same quiesce point.
+func (r *Root) SaveSeqs(w io.Writer) error {
+	r.gate.Lock()
+	defer r.gate.Unlock()
+	return json.NewEncoder(w).Encode(seqTable{Seqs: r.captureSeqs()})
 }

@@ -69,7 +69,7 @@ type Root struct {
 	cfg RootConfig
 
 	// gate is the stop-the-world interlock over the lanes: every fold and
-	// seq-query holds the read side, and SnapshotSeqs/SaveSeqs/LoadSeqs
+	// seq-query holds the read side, and SnapshotSeqs/LoadSeqs
 	// hold the write side, quiescing all lanes at once so the dedup table
 	// and whatever is persisted beside it describe the same fold set.
 	// sync.RWMutex blocks new readers once a writer waits, so a snapshot
@@ -470,17 +470,6 @@ func (r *Root) captureSeqs() map[string]map[string]uint64 {
 	return out
 }
 
-// SaveSeqs writes the (edge, stream) → last-folded-seq table as JSON. The
-// server persists it next to the manager snapshot: restoring both together
-// resumes the exactly-once contract across a root restart. Callers who
-// pair the table with a manager snapshot should use SnapshotSeqs instead,
-// which captures both at the same quiesce point.
-func (r *Root) SaveSeqs(w io.Writer) error {
-	r.gate.Lock()
-	defer r.gate.Unlock()
-	return json.NewEncoder(w).Encode(seqTable{Seqs: r.captureSeqs()})
-}
-
 // SnapshotSeqs captures the dedup table and invokes save with the lane
 // gate held exclusively — a stop-the-world quiesce of every fold lane — so
 // no fold can land between the table capture and whatever save persists
@@ -506,7 +495,7 @@ func (r *Root) SnapshotSeqs(save func(table []byte) error) error {
 	return save(buf.Bytes())
 }
 
-// LoadSeqs restores a SaveSeqs table, distributing its rows across the
+// LoadSeqs restores a SnapshotSeqs table, distributing its rows across the
 // fold lanes (replacing their contents). Call it at startup, before Serve.
 func (r *Root) LoadSeqs(rd io.Reader) error {
 	var t seqTable

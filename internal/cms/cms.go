@@ -48,25 +48,6 @@ func New(depth, width int, seed uint64) *Sketch {
 	return s
 }
 
-// NewForError returns a sketch sized for additive error at most errFrac*n
-// with failure probability failProb, using the standard width = ceil(e/eps),
-// depth = ceil(ln(1/failProb)) sizing.
-func NewForError(errFrac, failProb float64, seed uint64) *Sketch {
-	if errFrac <= 0 || errFrac >= 1 || failProb <= 0 || failProb >= 1 {
-		panic("cms: NewForError parameters must be in (0,1)")
-	}
-	width := int(math.Ceil(math.E / errFrac))
-	depth := int(math.Ceil(math.Log(1 / failProb)))
-	if depth < 1 {
-		depth = 1
-	}
-	return New(depth, width, seed)
-}
-
-// SetConservative enables conservative update (only raise the minimal
-// cells), which tightens estimates at the cost of losing mergeability.
-func (s *Sketch) SetConservative(on bool) { s.conservative = on }
-
 func (s *Sketch) cell(row int, x stream.Item) int {
 	h := (uint64(x) + 0x9e3779b97f4a7c15) * (s.seeds[row] | 1)
 	h ^= h >> 29
@@ -142,13 +123,6 @@ func (s *Sketch) Merge(other *Sketch) error {
 	}
 	s.n += other.n
 	return nil
-}
-
-// Row exposes a copy of row i for the private release path (per-cell noise).
-func (s *Sketch) Row(i int) []int64 {
-	out := make([]int64, s.width)
-	copy(out, s.rows[i])
-	return out
 }
 
 // AddNoise adds a fresh sample from the generator to every cell, rounded to

@@ -1,6 +1,7 @@
 package cms
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -185,3 +186,29 @@ func TestRowCopy(t *testing.T) {
 		t.Error("Row returned a live reference")
 	}
 }
+
+// NewForError returns a sketch sized for additive error at most errFrac*n
+// with failure probability failProb, using the standard width = ceil(e/eps),
+// depth = ceil(ln(1/failProb)) sizing.
+func NewForError(errFrac, failProb float64, seed uint64) *Sketch {
+	if errFrac <= 0 || errFrac >= 1 || failProb <= 0 || failProb >= 1 {
+		panic("cms: NewForError parameters must be in (0,1)")
+	}
+	width := int(math.Ceil(math.E / errFrac))
+	depth := int(math.Ceil(math.Log(1 / failProb)))
+	if depth < 1 {
+		depth = 1
+	}
+	return New(depth, width, seed)
+}
+
+// Row exposes a copy of row i for the private release path (per-cell noise).
+func (s *Sketch) Row(i int) []int64 {
+	out := make([]int64, s.width)
+	copy(out, s.rows[i])
+	return out
+}
+
+// SetConservative enables conservative update (only raise the minimal
+// cells), which tightens estimates at the cost of losing mergeability.
+func (s *Sketch) SetConservative(on bool) { s.conservative = on }

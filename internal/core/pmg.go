@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"dpmg/internal/accountant"
 	"dpmg/internal/hist"
 	"dpmg/internal/mg"
 	"dpmg/internal/noise"
@@ -31,10 +32,10 @@ type Params struct {
 
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
-	if p.Eps <= 0 {
-		return fmt.Errorf("core: eps must be positive, got %v", p.Eps)
+	if !accountant.ValidEps(p.Eps) {
+		return fmt.Errorf("core: eps must be finite and positive, got %v", p.Eps)
 	}
-	if p.Delta <= 0 || p.Delta >= 1 {
+	if !accountant.ValidDelta(p.Delta, false) {
 		return fmt.Errorf("core: delta must be in (0,1), got %v", p.Delta)
 	}
 	return nil

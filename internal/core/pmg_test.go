@@ -26,6 +26,11 @@ func TestParamsValidate(t *testing.T) {
 		{Eps: 1, Delta: 0},
 		{Eps: 1, Delta: 1},
 		{Eps: 1, Delta: -0.1},
+		{Eps: math.NaN(), Delta: 0.1},
+		{Eps: math.Inf(1), Delta: 0.1},
+		{Eps: 1, Delta: math.NaN()},
+		{Eps: 1, Delta: math.Inf(1)},
+		{Eps: 1, Delta: math.Inf(-1)},
 	}
 	for _, p := range bad {
 		if p.Validate() == nil {

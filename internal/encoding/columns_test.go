@@ -59,7 +59,7 @@ func TestDecodeSummaryColumnsReuse(t *testing.T) {
 		t.Fatalf("decoded k=%d with %d/%d entries", k, len(keys), len(vals))
 	}
 	for i := range keys {
-		wk, wv := sum.At(i)
+		wk, wv := sum.Keys()[i], sum.Counts()[i]
 		if keys[i] != wk || vals[i] != wv {
 			t.Fatalf("entry %d: (%d, %d), want (%d, %d)", i, keys[i], vals[i], wk, wv)
 		}

@@ -343,12 +343,6 @@ func appendSummary(dst []byte, s *merge.Summary, f format) []byte {
 	return appendEntries(dst, s.Keys(), s.Counts(), f)
 }
 
-// MarshalSummary writes AppendSummary's bytes to w in one Write.
-func MarshalSummary(w io.Writer, s *merge.Summary) error {
-	_, err := w.Write(AppendSummary(nil, s))
-	return err
-}
-
 // summaryColumns consumes one KindSummary blob in either entry format: the
 // one place a summary's structure (k bound, entries ≤ k, strictly
 // ascending keys, positive counters) is validated.
@@ -500,9 +494,9 @@ func UnmarshalSketch(r io.Reader) (*SketchWire, error) {
 
 // MarshalItems writes a raw batch of stream items as consecutive 8-byte
 // little-endian values with no framing: the batch length is implied by the
-// byte count. This is the body format of the dpmg-server POST /v1/batch
-// ingest endpoint, chosen so edge clients can stream items straight out of
-// a []uint64 without per-item encoding work.
+// byte count. This is the body format of the dpmg-server
+// POST /v1/streams/{s}/batch ingest endpoint, chosen so edge clients can
+// stream items straight out of a []uint64 without per-item encoding work.
 func MarshalItems(w io.Writer, items []stream.Item) error {
 	var buf [8]byte
 	for _, x := range items {
@@ -512,20 +506,6 @@ func MarshalItems(w io.Writer, items []stream.Item) error {
 		}
 	}
 	return nil
-}
-
-// UnmarshalItems reads a raw item batch until EOF, rejecting bodies whose
-// length is not a multiple of 8 and batches larger than maxItems (DoS
-// guard; pass the caller's request-size budget). Items are not range
-// checked here — the ingesting sketch's universe bound is the caller's to
-// enforce before applying the batch (or pass it to AppendItems to validate
-// during the decode).
-func UnmarshalItems(r io.Reader, maxItems int) ([]stream.Item, error) {
-	out, err := AppendItems(make([]stream.Item, 0, 64), r, maxItems, 0)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // AppendItems decodes a raw item batch from r, appending to dst and

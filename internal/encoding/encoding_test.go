@@ -3,6 +3,7 @@ package encoding
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -291,4 +292,24 @@ func TestUnmarshalWrongKindEverywhere(t *testing.T) {
 	if _, err := UnmarshalSketch(bytes.NewReader(raw)); err == nil {
 		t.Error("summary accepted as sketch")
 	}
+}
+
+// MarshalSummary writes AppendSummary's bytes to w in one Write.
+func MarshalSummary(w io.Writer, s *merge.Summary) error {
+	_, err := w.Write(AppendSummary(nil, s))
+	return err
+}
+
+// UnmarshalItems reads a raw item batch until EOF, rejecting bodies whose
+// length is not a multiple of 8 and batches larger than maxItems (DoS
+// guard; pass the caller's request-size budget). Items are not range
+// checked here — the ingesting sketch's universe bound is the caller's to
+// enforce before applying the batch (or pass it to AppendItems to validate
+// during the decode).
+func UnmarshalItems(r io.Reader, maxItems int) ([]stream.Item, error) {
+	out, err := AppendItems(make([]stream.Item, 0, 64), r, maxItems, 0)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

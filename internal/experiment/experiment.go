@@ -1,9 +1,10 @@
-// Package experiment regenerates every experiment table defined in
-// DESIGN.md (E1–E10). The paper is a theory contribution with no empirical
-// evaluation section, so each "table" here is the empirical analogue of a
-// theorem-level claim: measured error, sensitivity, privacy loss, or
-// throughput against the stated bound, and measured comparisons against
-// every baseline the paper discusses. EXPERIMENTS.md records the outcomes.
+// Package experiment regenerates the experiment tables E1–E10 (IDs lists
+// them; cmd/dpmg-bench and the root package's BenchmarkE<n> run them). The
+// paper is a theory contribution with no empirical evaluation section, so
+// each "table" here is the empirical analogue of a theorem-level claim:
+// measured error, sensitivity, privacy loss, or throughput against the
+// stated bound, and measured comparisons against every baseline the paper
+// discusses.
 package experiment
 
 import (
@@ -16,7 +17,7 @@ import (
 // Config controls experiment scale.
 type Config struct {
 	// Quick shrinks stream lengths and trial counts so the full suite runs
-	// in seconds (used by tests); the full-size runs back EXPERIMENTS.md.
+	// in seconds (used by tests); full size is what dpmg-bench runs.
 	Quick bool
 	// Seed makes every experiment deterministic.
 	Seed uint64

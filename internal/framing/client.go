@@ -42,18 +42,11 @@ type Client struct {
 	ackBuf  []byte
 }
 
-// Dial connects to a dpmg-server streaming ingest listener (-ingest-addr)
-// and writes the protocol preamble. It blocks for as long as the operating
-// system's connect takes; prefer DialTimeout or DialContext anywhere a
-// peer may be down (an edge must never hang on a dead root).
-func Dial(addr string) (*Client, error) {
-	return DialContext(context.Background(), addr)
-}
-
-// DialTimeout is Dial with a connect timeout: a peer that is down or
-// unreachable fails within the deadline instead of holding the caller for
-// the kernel's (minutes-long) connect timeout. A non-positive timeout
-// means no limit.
+// DialTimeout connects to a dpmg-server streaming ingest listener
+// (-ingest-addr) and writes the protocol preamble, under a connect
+// timeout: a peer that is down or unreachable fails within the deadline
+// instead of holding the caller for the kernel's (minutes-long) connect
+// timeout. A non-positive timeout means no limit.
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	ctx := context.Background()
 	if timeout > 0 {
@@ -64,8 +57,9 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	return DialContext(ctx, addr)
 }
 
-// DialContext is Dial under a caller-supplied context: cancellation or a
-// deadline aborts the connect (not the established connection).
+// DialContext is DialTimeout under a caller-supplied context:
+// cancellation or a deadline aborts the connect (not the established
+// connection).
 func DialContext(ctx context.Context, addr string) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)

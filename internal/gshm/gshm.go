@@ -18,6 +18,7 @@ import (
 	"math"
 	"sync"
 
+	"dpmg/internal/accountant"
 	"dpmg/internal/hist"
 	"dpmg/internal/noise"
 	"dpmg/internal/stream"
@@ -130,10 +131,10 @@ func Calibrate(eps, delta float64, l int) (Config, error) {
 
 // calibrate runs the actual search (see Calibrate).
 func calibrate(eps, delta float64, l int) (Config, error) {
-	if eps <= 0 {
-		return Config{}, fmt.Errorf("gshm: eps must be positive, got %v", eps)
+	if !accountant.ValidEps(eps) {
+		return Config{}, fmt.Errorf("gshm: eps must be finite and positive, got %v", eps)
 	}
-	if delta <= 0 || delta >= 1 {
+	if !accountant.ValidDelta(delta, false) {
 		return Config{}, fmt.Errorf("gshm: delta must be in (0,1), got %v", delta)
 	}
 	if l <= 0 {

@@ -28,35 +28,6 @@ func MaxError(est Estimate, truth map[stream.Item]int64) float64 {
 	return worst
 }
 
-// MeanSquaredError returns the average of (est(x)-f(x))^2 over the union of
-// supports. Pass universe > 0 to average over the whole universe [d] instead
-// (elements outside both supports contribute 0 error either way, but change
-// the denominator).
-func MeanSquaredError(est Estimate, truth map[stream.Item]int64, universe int) float64 {
-	var sum float64
-	support := make(map[stream.Item]struct{}, len(truth)+len(est))
-	for x, f := range truth {
-		d := est[x] - float64(f)
-		sum += d * d
-		support[x] = struct{}{}
-	}
-	for x, v := range est {
-		if _, ok := truth[x]; ok {
-			continue
-		}
-		sum += v * v
-		support[x] = struct{}{}
-	}
-	n := len(support)
-	if universe > 0 {
-		n = universe
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // TopK returns the k items with the largest counts in truth, ties broken by
 // smaller item first so the result is deterministic.
 func TopK(truth map[stream.Item]int64, k int) []stream.Item {
@@ -178,18 +149,4 @@ func LInfDistance(a, b map[stream.Item]int64) float64 {
 		}
 	}
 	return worst
-}
-
-// L1DistanceFloat is L1Distance over released (float-valued) tables.
-func L1DistanceFloat(a, b Estimate) float64 {
-	var sum float64
-	for x, va := range a {
-		sum += math.Abs(va - b[x])
-	}
-	for x, vb := range b {
-		if _, ok := a[x]; !ok {
-			sum += math.Abs(vb)
-		}
-	}
-	return sum
 }

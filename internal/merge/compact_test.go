@@ -104,3 +104,6 @@ func TestCloneCompactIndependent(t *testing.T) {
 		t.Fatalf("CloneCompact allocates %.1f per clone, want <= 2", avg)
 	}
 }
+
+// At returns the i-th (key, count) pair in ascending key order.
+func (s *Summary) At(i int) (stream.Item, int64) { return s.keys[i], s.vals[i] }

@@ -131,9 +131,6 @@ func (s *Summary) Keys() []stream.Item { return s.keys }
 // backing storage: treat it as read-only.
 func (s *Summary) Counts() []int64 { return s.vals }
 
-// At returns the i-th (key, count) pair in ascending key order.
-func (s *Summary) At(i int) (stream.Item, int64) { return s.keys[i], s.vals[i] }
-
 // CountsMap materializes the counter table as a map, for callers that need
 // associative lookups (structure checks, tests). It allocates; the release
 // and merge hot paths never call it.
@@ -439,19 +436,6 @@ func selectNth(a []int64, nth int) (v int64, fellBack bool) {
 		}
 	}
 	return a[nth], false
-}
-
-// CheckNeighborStructure verifies the Lemma 17 / Corollary 18 invariant on
-// two merged counter tables from neighboring inputs: one table's key set
-// contains the other's and counters differ by at most 1, all in the same
-// direction. This is the same structure as pamg.CheckNeighborStructure and
-// is what qualifies merged sketches for the Gaussian Sparse Histogram
-// Mechanism with l = k.
-func CheckNeighborStructure(c, cPrime map[stream.Item]int64) error {
-	if oneSided(c, cPrime) || oneSided(cPrime, c) {
-		return nil
-	}
-	return fmt.Errorf("merge: Lemma 17 structure violated: %v vs %v", c, cPrime)
 }
 
 func oneSided(hi, lo map[stream.Item]int64) bool {

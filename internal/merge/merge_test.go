@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -283,4 +284,17 @@ func TestCloneIndependent(t *testing.T) {
 	if a.Estimate(1) != 1 {
 		t.Error("Clone shares storage")
 	}
+}
+
+// CheckNeighborStructure verifies the Lemma 17 / Corollary 18 invariant on
+// two merged counter tables from neighboring inputs: one table's key set
+// contains the other's and counters differ by at most 1, all in the same
+// direction. This is the same structure as pamg.CheckNeighborStructure and
+// is what qualifies merged sketches for the Gaussian Sparse Histogram
+// Mechanism with l = k.
+func CheckNeighborStructure(c, cPrime map[stream.Item]int64) error {
+	if oneSided(c, cPrime) || oneSided(cPrime, c) {
+		return nil
+	}
+	return fmt.Errorf("merge: Lemma 17 structure violated: %v vs %v", c, cPrime)
 }

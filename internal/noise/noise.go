@@ -50,13 +50,6 @@ func Laplace(src Source, b float64) float64 {
 	return -b * math.Log1p(-2*u)
 }
 
-// LaplaceVec fills out with independent Laplace(b) samples.
-func LaplaceVec(src Source, b float64, out []float64) {
-	for i := range out {
-		out[i] = Laplace(src, b)
-	}
-}
-
 // Gaussian samples from N(0, sigma^2). It panics if sigma <= 0.
 func Gaussian(src Source, sigma float64) float64 {
 	if sigma <= 0 {

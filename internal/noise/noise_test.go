@@ -251,3 +251,19 @@ func TestNewSourceDeterminism(t *testing.T) {
 		t.Error("different seeds produced identical first values")
 	}
 }
+
+// LaplaceVec fills out with independent Laplace(b) samples.
+func LaplaceVec(src Source, b float64, out []float64) {
+	for i := range out {
+		out[i] = Laplace(src, b)
+	}
+}
+
+// LaplaceTail returns Pr[Laplace(b) >= t] for t >= 0, i.e. the upper tail
+// mass (1/2)·exp(-t/b). For t < 0 it returns the complementary value.
+func LaplaceTail(b, t float64) float64 {
+	if t >= 0 {
+		return 0.5 * math.Exp(-t/b)
+	}
+	return 1 - 0.5*math.Exp(t/b)
+}

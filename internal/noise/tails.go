@@ -2,15 +2,6 @@ package noise
 
 import "math"
 
-// LaplaceTail returns Pr[Laplace(b) >= t] for t >= 0, i.e. the upper tail
-// mass (1/2)·exp(-t/b). For t < 0 it returns the complementary value.
-func LaplaceTail(b, t float64) float64 {
-	if t >= 0 {
-		return 0.5 * math.Exp(-t/b)
-	}
-	return 1 - 0.5*math.Exp(t/b)
-}
-
 // LaplaceQuantile returns the smallest t such that
 // Pr[|Laplace(b)| >= t] <= p, i.e. t = b·ln(1/p). The paper uses this with
 // p = beta/(k+1) in Lemma 13.

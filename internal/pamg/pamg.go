@@ -39,9 +39,6 @@ func New(k int) *Sketch {
 // K returns the sketch size parameter.
 func (s *Sketch) K() int { return s.k }
 
-// Users returns the number of user sets processed.
-func (s *Sketch) Users() int64 { return s.users }
-
 // TotalLen returns N, the total number of contributed elements.
 func (s *Sketch) TotalLen() int64 { return s.total }
 
@@ -147,20 +144,6 @@ func (s *Sketch) SortedKeys() []stream.Item {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
-}
-
-// CheckNeighborStructure verifies Lemma 27 on counter tables of PAMG
-// sketches built from neighboring user streams: either T' ⊆ T with
-// c_i - c'_i ∈ {0,1} for all i, or T ⊆ T' with the roles swapped. It
-// returns nil if the structure holds.
-func CheckNeighborStructure(c, cPrime map[stream.Item]int64) error {
-	if ok := oneSided(c, cPrime); ok {
-		return nil
-	}
-	if ok := oneSided(cPrime, c); ok {
-		return nil
-	}
-	return fmt.Errorf("pamg: neither containment direction holds: %v vs %v", c, cPrime)
 }
 
 // oneSided reports whether keys(lo) ⊆ keys(hi) and hi_i - lo_i ∈ {0,1}

@@ -1,6 +1,7 @@
 package pamg
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -224,7 +225,11 @@ func TestSingletonUsersMatchMGModel(t *testing.T) {
 	// |T| exceeds k). Check Fact-7-style bounds still hold tightly.
 	str := workload.Zipf(10000, 100, 1.1, 11)
 	s := New(10)
-	s.Process(stream.Singletons(str))
+	sets := make(stream.SetStream, len(str))
+	for i, x := range str {
+		sets[i] = []stream.Item{x}
+	}
+	s.Process(sets)
 	f := hist.Exact(str)
 	slack := int64(len(str) / 11)
 	for x, fx := range f {
@@ -234,3 +239,20 @@ func TestSingletonUsersMatchMGModel(t *testing.T) {
 		}
 	}
 }
+
+// CheckNeighborStructure verifies Lemma 27 on counter tables of PAMG
+// sketches built from neighboring user streams: either T' ⊆ T with
+// c_i - c'_i ∈ {0,1} for all i, or T ⊆ T' with the roles swapped. It
+// returns nil if the structure holds.
+func CheckNeighborStructure(c, cPrime map[stream.Item]int64) error {
+	if ok := oneSided(c, cPrime); ok {
+		return nil
+	}
+	if ok := oneSided(cPrime, c); ok {
+		return nil
+	}
+	return fmt.Errorf("pamg: neither containment direction holds: %v vs %v", c, cPrime)
+}
+
+// Users returns the number of user sets processed.
+func (s *Sketch) Users() int64 { return s.users }

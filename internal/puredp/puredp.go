@@ -8,7 +8,6 @@ package puredp
 
 import (
 	"fmt"
-	"sort"
 
 	"dpmg/internal/hist"
 	"dpmg/internal/mg"
@@ -86,51 +85,6 @@ func ReleasePure(r *Reduced, eps float64, d uint64, src noise.Source) (hist.Esti
 		acc.Offer(x, r.Counts[x]+noise.Laplace(src, scale))
 	}
 	return acc.Estimate(), nil
-}
-
-// ApproxThreshold is the Section 6 threshold 4 + 2·ln(1/δ)/ε used by
-// ReleaseApprox.
-func ApproxThreshold(eps, delta float64) float64 {
-	return 4 + 2*noise.LaplaceQuantile(1/eps, delta)
-}
-
-// ReleaseApprox releases the reduced sketch under (eps, delta)-DP without
-// touching the whole universe, using the technique of [3, Algorithm 9] the
-// paper cites: counters smaller than the l1-sensitivity (2) are
-// probabilistically rounded — value v < 2 becomes 2 with probability v/2 and
-// 0 otherwise — then Laplace(2/eps) noise is added to each surviving counter
-// and noisy counts below 4 + 2·ln(1/δ)/ε are removed. Compared to Algorithm
-// 2 this costs an extra n/(k+1) error (the reduction's offset), which is why
-// the paper prefers Algorithm 2 under approximate DP.
-func ReleaseApprox(r *Reduced, eps, delta float64, src noise.Source) (hist.Estimate, error) {
-	if eps <= 0 {
-		return nil, fmt.Errorf("puredp: eps must be positive, got %v", eps)
-	}
-	if delta <= 0 || delta >= 1 {
-		return nil, fmt.Errorf("puredp: delta must be in (0,1), got %v", delta)
-	}
-	thresh := ApproxThreshold(eps, delta)
-	scale := 2 / eps
-	out := make(hist.Estimate)
-	keys := make([]stream.Item, 0, len(r.Counts))
-	for x := range r.Counts {
-		keys = append(keys, x)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, x := range keys {
-		v := r.Counts[x]
-		if v < 2 {
-			if src.Float64() < v/2 {
-				v = 2
-			} else {
-				continue
-			}
-		}
-		if noisy := v + noise.Laplace(src, scale); noisy >= thresh {
-			out[x] = noisy
-		}
-	}
-	return out, nil
 }
 
 // L1Sensitivity returns the l1 distance between two reduced counter tables

@@ -1,9 +1,11 @@
 package puredp
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"sort"
 	"testing"
 
 	"dpmg/internal/hist"
@@ -258,4 +260,49 @@ func TestReduceColumnsMatchesMap(t *testing.T) {
 			t.Fatalf("seed %d: column reduction %+v, map reduction %+v", seed, got, want)
 		}
 	}
+}
+
+// ReleaseApprox releases the reduced sketch under (eps, delta)-DP without
+// touching the whole universe, using the technique of [3, Algorithm 9] the
+// paper cites: counters smaller than the l1-sensitivity (2) are
+// probabilistically rounded — value v < 2 becomes 2 with probability v/2 and
+// 0 otherwise — then Laplace(2/eps) noise is added to each surviving counter
+// and noisy counts below 4 + 2·ln(1/δ)/ε are removed. Compared to Algorithm
+// 2 this costs an extra n/(k+1) error (the reduction's offset), which is why
+// the paper prefers Algorithm 2 under approximate DP.
+func ReleaseApprox(r *Reduced, eps, delta float64, src noise.Source) (hist.Estimate, error) {
+	if eps <= 0 {
+		return nil, fmt.Errorf("puredp: eps must be positive, got %v", eps)
+	}
+	if delta <= 0 || delta >= 1 {
+		return nil, fmt.Errorf("puredp: delta must be in (0,1), got %v", delta)
+	}
+	thresh := ApproxThreshold(eps, delta)
+	scale := 2 / eps
+	out := make(hist.Estimate)
+	keys := make([]stream.Item, 0, len(r.Counts))
+	for x := range r.Counts {
+		keys = append(keys, x)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for _, x := range keys {
+		v := r.Counts[x]
+		if v < 2 {
+			if src.Float64() < v/2 {
+				v = 2
+			} else {
+				continue
+			}
+		}
+		if noisy := v + noise.Laplace(src, scale); noisy >= thresh {
+			out[x] = noisy
+		}
+	}
+	return out, nil
+}
+
+// ApproxThreshold is the Section 6 threshold 4 + 2·ln(1/δ)/ε used by
+// ReleaseApprox.
+func ApproxThreshold(eps, delta float64) float64 {
+	return 4 + 2*noise.LaplaceQuantile(1/eps, delta)
 }

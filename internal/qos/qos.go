@@ -161,11 +161,3 @@ func (g *Gate) Leave() {
 		panic("qos: Leave without matching Enter")
 	}
 }
-
-// Inflight returns the number of currently admitted operations.
-func (g *Gate) Inflight() int {
-	if g == nil {
-		return 0
-	}
-	return int(g.inflight.Load())
-}

@@ -212,3 +212,11 @@ func TestBucketRefund(t *testing.T) {
 		t.Fatal("refund banked tokens beyond the burst")
 	}
 }
+
+// Inflight returns the number of currently admitted operations.
+func (g *Gate) Inflight() int {
+	if g == nil {
+		return 0
+	}
+	return int(g.inflight.Load())
+}

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -146,28 +145,9 @@ const DefaultReleaseDelta = 1.0 / (1 << 23)
 // defaultReleaseEps is the dyadic default ε grid.
 func defaultReleaseEps() []float64 { return []float64{0.25, 1, 4} }
 
-// ParseSpec decodes and validates one scenario spec from JSON. Unknown
-// fields are rejected (a typoed knob must not silently become a no-op)
-// and defaults are normalized in place.
-func ParseSpec(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var sp Spec
-	if err := dec.Decode(&sp); err != nil {
-		return nil, fmt.Errorf("scenario: parse spec: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("scenario: parse spec: trailing data after JSON document")
-	}
-	if err := sp.Normalize(); err != nil {
-		return nil, err
-	}
-	return &sp, nil
-}
-
 // Normalize fills defaults and validates the spec. It is idempotent; Run
-// and ParseSpec both call it, so hand-built specs get the same treatment
-// as parsed ones.
+// calls it, as does the tests' JSON parser, so hand-built specs get the
+// same treatment as parsed ones.
 func (sp *Spec) Normalize() error {
 	if sp.Workers == 0 {
 		sp.Workers = 4
@@ -443,24 +423,6 @@ func StormExpected(budgetEps, stormEps float64) int {
 		}
 	}
 	return m
-}
-
-// GridEps returns the total (ε, δ) one stream's release schedule spends:
-// the grid sum, or the exact storm spend under the stream's budget.
-func (sp *Spec) GridEps(ss *StreamSpec) (eps, delta float64) {
-	if sp.BudgetStorm {
-		m := StormExpected(ss.Eps, sp.StormEps)
-		for i := 0; i < m; i++ {
-			eps += sp.StormEps
-			delta += sp.ReleaseDelta
-		}
-		return eps, delta
-	}
-	for _, e := range sp.ReleaseEps {
-		eps += e
-		delta += sp.ReleaseDelta
-	}
-	return eps, delta
 }
 
 // Marshal renders the spec back to canonical JSON (stable field order,

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -280,4 +282,41 @@ func TestSpecAccounting(t *testing.T) {
 func (t Tier) valid() bool {
 	_, err := t.mult()
 	return err == nil
+}
+
+// GridEps returns the total (ε, δ) one stream's release schedule spends:
+// the grid sum, or the exact storm spend under the stream's budget.
+func (sp *Spec) GridEps(ss *StreamSpec) (eps, delta float64) {
+	if sp.BudgetStorm {
+		m := StormExpected(ss.Eps, sp.StormEps)
+		for i := 0; i < m; i++ {
+			eps += sp.StormEps
+			delta += sp.ReleaseDelta
+		}
+		return eps, delta
+	}
+	for _, e := range sp.ReleaseEps {
+		eps += e
+		delta += sp.ReleaseDelta
+	}
+	return eps, delta
+}
+
+// ParseSpec decodes and validates one scenario spec from JSON. Unknown
+// fields are rejected (a typoed knob must not silently become a no-op)
+// and defaults are normalized in place.
+func ParseSpec(data []byte) (*Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var sp Spec
+	if err := dec.Decode(&sp); err != nil {
+		return nil, fmt.Errorf("scenario: parse spec: %w", err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("scenario: parse spec: trailing data after JSON document")
+	}
+	if err := sp.Normalize(); err != nil {
+		return nil, err
+	}
+	return &sp, nil
 }

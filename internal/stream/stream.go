@@ -87,17 +87,6 @@ func (s SetStream) TotalLen() int {
 	return n
 }
 
-// MaxSetSize returns the largest user contribution m = max |S_i|.
-func (s SetStream) MaxSetSize() int {
-	m := 0
-	for _, set := range s {
-		if len(set) > m {
-			m = len(set)
-		}
-	}
-	return m
-}
-
 // Validate checks that every user set is non-empty, contains distinct
 // elements none of which is the reserved item 0, and has size at most maxM
 // (ignored when maxM <= 0). These are the standing assumptions of
@@ -136,17 +125,6 @@ func (s SetStream) Flatten() Stream {
 		buf = append(buf[:0], set...)
 		sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
 		out = append(out, buf...)
-	}
-	return out
-}
-
-// Singletons lifts an element stream into the set-stream model, one
-// singleton set per element, so that element streams are the special case
-// |S_i| = 1 exactly as in Section 3.
-func Singletons(s Stream) SetStream {
-	out := make(SetStream, len(s))
-	for i, x := range s {
-		out[i] = []Item{x}
 	}
 	return out
 }

@@ -210,3 +210,25 @@ func TestNeighborPairLengths(t *testing.T) {
 		}
 	}
 }
+
+// MaxSetSize returns the largest user contribution m = max |S_i|.
+func (s SetStream) MaxSetSize() int {
+	m := 0
+	for _, set := range s {
+		if len(set) > m {
+			m = len(set)
+		}
+	}
+	return m
+}
+
+// Singletons lifts an element stream into the set-stream model, one
+// singleton set per element, so that element streams are the special case
+// |S_i| = 1 exactly as in Section 3.
+func Singletons(s Stream) SetStream {
+	out := make(SetStream, len(s))
+	for i, x := range s {
+		out[i] = []Item{x}
+	}
+	return out
+}

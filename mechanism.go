@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"dpmg/internal/accountant"
 	"dpmg/internal/core"
 	"dpmg/internal/gshm"
 	"dpmg/internal/hist"
@@ -165,7 +166,7 @@ type Mechanism interface {
 
 // The mechanism registry. Adding a Mechanism here makes it reachable from
 // every sketch front-end via WithMechanism and from the dpmg-server's
-// /v1/release mech= parameter — no per-type Release method needed.
+// /v1/streams/{s}/release mech= parameter — no per-type Release method needed.
 var (
 	registryMu   sync.RWMutex
 	mechRegistry = make(map[string]Mechanism)
@@ -331,10 +332,10 @@ type pureMechanism struct{}
 func (pureMechanism) Name() string { return MechanismPure }
 
 func (pureMechanism) Calibrate(p Params, s Sensitivity) (*Calibration, error) {
-	if p.Eps <= 0 {
-		return nil, fmt.Errorf("dpmg: pure: eps must be positive, got %v", p.Eps)
+	if !accountant.ValidEps(p.Eps) {
+		return nil, fmt.Errorf("dpmg: pure: eps must be finite and positive, got %v", p.Eps)
 	}
-	if p.Delta < 0 || p.Delta >= 1 {
+	if !accountant.ValidDelta(p.Delta, true) {
 		return nil, fmt.Errorf("dpmg: pure: delta must be in [0,1), got %v (and is ignored)", p.Delta)
 	}
 	if s.Class != SensitivitySingleStream || s.Standard {

@@ -1,14 +1,22 @@
-// Command checkdocs is the repository's documentation gate: it fails when
-// an exported identifier in a gated package lacks a doc comment, in the
-// spirit of staticcheck's ST1000/ST1020/ST1021 but with no dependency
-// beyond the standard library (the CI image may not have network access
-// to install linters, and the gate must also run locally).
+// Command checkdocs is the repository's documentation gate. It runs two
+// passes, with no dependency beyond the standard library (the CI image may
+// not have network access to install linters, and the gate must also run
+// locally):
 //
-//	go run ./scripts/checkdocs [-root <module dir>] [pkgdir ...]
+//   - it fails when an exported identifier in a gated package lacks a doc
+//     comment, in the spirit of staticcheck's ST1000/ST1020/ST1021;
+//
+//   - it fails when an exported package-level func, type, var or const
+//     under internal/ is named by no non-test file in the module other
+//     than its own declaration (see checkUnreferenced), so internal API
+//     that only tests call cannot accumulate.
+//
+//     go run ./scripts/checkdocs [-root <module dir>] [pkgdir ...]
 //
 // With no package directories, the default gate set is checked: the root
 // dpmg package, every command under cmd/, and the internal packages that
-// carry documented invariants. Test files (_test.go) are exempt.
+// carry documented invariants. Test files (_test.go) are exempt from the
+// first pass and are not uses in the second.
 package main
 
 import (
@@ -76,6 +84,19 @@ func main() {
 			fmt.Fprintln(os.Stderr, f)
 		}
 		fmt.Fprintf(os.Stderr, "checkdocs: %d exported identifier(s) missing doc comments\n", len(failures))
+		os.Exit(1)
+	}
+	unused, err := checkUnreferenced(*root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "checkdocs: %v\n", err)
+		os.Exit(2)
+	}
+	if len(unused) > 0 {
+		sort.Strings(unused)
+		for _, f := range unused {
+			fmt.Fprintln(os.Stderr, f)
+		}
+		fmt.Fprintf(os.Stderr, "checkdocs: %d exported internal identifier(s) without a non-test use\n", len(unused))
 		os.Exit(1)
 	}
 }

@@ -2,11 +2,14 @@
 # smoke_cluster.sh — multi-node smoke for the distributed aggregation
 # tier: one root and two edges as real dpmg-server processes on loopback.
 #
-#  1. Both edges ingest raw batches over HTTP and ship cut summaries
-#     upstream; the script waits for each fold to land at the root.
+#  1. Both edges create the stream "smoke", ingest raw batches into it
+#     over HTTP and ship cut summaries upstream (the root auto-creates
+#     the stream on its first fold); the script waits for each fold to
+#     land at the root.
 #  2. One edge is SIGKILLed mid-run; the root must keep serving from the
 #     survivor.
-#  3. The killed edge restarts with the same -edge-id and -spool; its
+#  3. The killed edge restarts with the same -edge-id and -spool and
+#     creates "smoke" again (an edge keeps no state but its spool); its
 #     next cut must fold exactly once (seq baseline re-sync + dedup —
 #     zero double-counts, asserted via summaries_merged at the root).
 #  4. Releases succeed only at the root; an edge answers 403.
@@ -80,8 +83,15 @@ wait_http() { # wait_http <port>
 }
 wait_http "$ROOT_HTTP"; wait_http "$E1_HTTP"; wait_http "$E2_HTTP"
 
+STREAM=smoke
+S="/v1/streams/$STREAM"
+create_stream() { # create_stream <port>: the stream inherits the flags
+  curl -sf -X POST -d "{\"name\":\"$STREAM\"}" "http://127.0.0.1:$1/v1/streams" >/dev/null
+}
+create_stream "$E1_HTTP"; create_stream "$E2_HTTP"
+
 # One raw item is an 8-byte little-endian uint64; a batch is their
-# concatenation (the /v1/batch wire format).
+# concatenation (the .../batch wire format).
 batch() { # batch <key>...
   local k v i
   for k in "$@"; do
@@ -96,7 +106,7 @@ post_batch() { # post_batch <port> <key>...
   local port=$1; shift
   # shellcheck disable=SC2059 # batch emits \xNN escapes for printf to expand
   printf "$(batch "$@")" |
-    curl -sf -X POST --data-binary @- "http://127.0.0.1:$port/v1/batch" >/dev/null
+    curl -sf -X POST --data-binary @- "http://127.0.0.1:$port$S/batch" >/dev/null
 }
 
 folded() { # current dpmg_cluster_folded_total at the root
@@ -122,17 +132,18 @@ echo "== kill edge-1 mid-run; root serves from the survivor" >&2
 kill -9 "$EDGE1_PID"
 post_batch "$E2_HTTP" 2
 wait_folded 3
-curl -sf "http://127.0.0.1:$ROOT_HTTP/v1/release?eps=1&delta=0.000001" >/dev/null
+curl -sf "http://127.0.0.1:$ROOT_HTTP$S/release?eps=1&delta=0.000001" >/dev/null
 
 echo "== restart edge-1 (same identity and spool); re-ship is idempotent" >&2
 start_edge1
 wait_http "$E1_HTTP"
+create_stream "$E1_HTTP"
 post_batch "$E1_HTTP" 1
 wait_folded 4
 
 # Zero double-counts: every fold at the root is a distinct sequence, so
 # summaries_merged on the fan-in stream must equal the fold count exactly.
-merged="$(curl -sf "http://127.0.0.1:$ROOT_HTTP/v1/stats" |
+merged="$(curl -sf "http://127.0.0.1:$ROOT_HTTP$S/stats" |
   sed -n 's/.*"summaries_merged":\([0-9]*\).*/\1/p')"
 if [ "$merged" != "4" ]; then
   echo "smoke_cluster: root merged $merged summaries, want exactly 4 (double-count or loss)" >&2
@@ -141,13 +152,13 @@ fi
 
 echo "== releases are root-only" >&2
 code="$(curl -s -o /dev/null -w '%{http_code}' \
-  "http://127.0.0.1:$E2_HTTP/v1/release?eps=1&delta=0.000001")"
+  "http://127.0.0.1:$E2_HTTP$S/release?eps=1&delta=0.000001")"
 if [ "$code" != "403" ]; then
   echo "smoke_cluster: edge answered release with $code, want 403" >&2
   exit 1
 fi
 code="$(curl -s -o /dev/null -w '%{http_code}' \
-  "http://127.0.0.1:$ROOT_HTTP/v1/release?eps=1&delta=0.000001")"
+  "http://127.0.0.1:$ROOT_HTTP$S/release?eps=1&delta=0.000001")"
 if [ "$code" != "200" ]; then
   echo "smoke_cluster: root answered release with $code, want 200" >&2
   exit 1
